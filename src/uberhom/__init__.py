@@ -6,10 +6,10 @@ built on colouring profiles."""
 from .complexes import (MAX_VERTICES, SimplicialComplex, dim_of, format_complex,
                         from_facets, mask_of, read_complex, standard_complex,
                         vertices_of)
-from .coloured import (BlockHomology, ColouredComplex, Colouring, GradedEulerPoly,
-                       black_subcomplex, build_coloured_complex, diagonal_homology,
-                       filtered_homology, flatten, graded_euler, horizontal_homology,
-                       horizontal_homology_with_bases, simplicial_homology, weight)
+from .coloured import (BlockHomology, Colouring, GradedEulerPoly, black_subcomplex,
+                       diagonal_homology, filtered_homology, flatten, graded_euler,
+                       horizontal_homology, horizontal_homology_with_bases,
+                       simplicial_homology, weight)
 from .errors import (CapExceeded, ColouringMismatch, ComplexError, InvalidColouring,
                      ParseError, UberhomError)
 from .graphs import (Dissimilarity, SimpleGraph, ThetaLevel, closed_form_signature,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import f2
-from .complexes import SimplicialComplex, dim_of, vertices_of
+from .complexes import SimplicialComplex, vertices_of
 from .errors import ColouringMismatch, InvalidColouring, ParseError
 
 
@@ -92,124 +92,61 @@ def weight(sigma: int, colouring: Colouring) -> int:
     return (sigma & ~colouring.bits).bit_count()
 
 
-def _blocks(X: SimplicialComplex, eps: Colouring):
-    """(dimension, weight) -> ascending simplex masks, plus index maps."""
+def _blocks(X: SimplicialComplex, eps: Colouring) -> dict[tuple[int, int], list[int]]:
+    """(dimension, weight) -> ascending simplex masks."""
     eps.check_length(X.vertex_count)
     blocks: dict[tuple[int, int], list[int]] = {}
     for d, masks in X.by_dim.items():
         for s in masks:
             blocks.setdefault((d, (s & ~eps.bits).bit_count()), []).append(s)
-    index = {bk: {s: p for p, s in enumerate(masks)} for bk, masks in blocks.items()}
-    return blocks, index
+    return blocks
 
 
-class ColouredComplex:
-    """The bigraded chain complex of (X, ε) with both differentials."""
-
-    def __init__(self, X: SimplicialComplex, eps: Colouring, validate: bool = True):
-        self.complex = X
-        self.colouring = eps
-        raw, self._index = _blocks(X, eps)
-        self.blocks: dict[tuple[int, int], tuple[int, ...]] = {
-            bk: tuple(masks) for bk, masks in raw.items()}
-        if validate:
-            self._validate()
-
-    def block(self, i: int, k: int) -> tuple[int, ...]:
-        return self.blocks.get((i, k), ())
-
-    def _matrix(self, i: int, k: int, drop_black: bool) -> f2.BitMatrix:
-        src = self.block(i, k)
-        tk = k if drop_black else k - 1
-        tgt_index = self._index.get((i - 1, tk), {})
-        keep = self.colouring.bits if drop_black else ~self.colouring.bits
-        cols = []
-        for s in src:
-            col = 0
-            for v in vertices_of(s & keep):
-                face = s ^ (1 << v)
-                if face:
-                    col |= 1 << tgt_index[face]
-            cols.append(col)
-        return f2.BitMatrix.from_columns(len(tgt_index), len(src), cols)
-
-    def horizontal_matrix(self, i: int, k: int) -> f2.BitMatrix:
-        """Boundary component removing a black vertex: (i,k) -> (i-1,k)."""
-        return self._matrix(i, k, drop_black=True)
-
-    def diagonal_matrix(self, i: int, k: int) -> f2.BitMatrix:
-        """Boundary component removing a white vertex: (i,k) -> (i-1,k-1)."""
-        return self._matrix(i, k, drop_black=False)
-
-    def _validate(self):
-        for (i, k) in self.blocks:
-            if i < 2:
-                continue
-            h1 = self.horizontal_matrix(i, k)
-            if not self.horizontal_matrix(i - 1, k).matmul(h1).is_zero():
-                raise AssertionError("horizontal differential does not square to zero")
-            d1 = self.diagonal_matrix(i, k)
-            if not self.diagonal_matrix(i - 1, k - 1).matmul(d1).is_zero():
-                raise AssertionError("diagonal differential does not square to zero")
-            mixed = self.diagonal_matrix(i - 1, k).matmul(h1)
-            mixed2 = self.horizontal_matrix(i - 1, k - 1).matmul(d1)
-            if mixed.data != mixed2.data:
-                raise AssertionError("differentials do not anticommute")
+def _index(blocks) -> dict:
+    return {key: {s: p for p, s in enumerate(masks)} for key, masks in blocks.items()}
 
 
-def build_coloured_complex(X: SimplicialComplex, eps: Colouring,
-                           validate: bool = True) -> ColouredComplex:
-    return ColouredComplex(X, eps, validate=validate)
+def _boundary_columns(masks, target: dict[int, int], droppable: int):
+    """Columns of the boundary part that drops one droppable vertex, one per
+    simplex; target indexes the faces, which must all lie in it."""
+    for s in masks:
+        col = 0
+        for v in vertices_of(s & droppable):
+            col |= 1 << target[s ^ (1 << v)]
+        yield col
 
 
-def _rank_accumulate(pivots: dict[int, int], v: int) -> int:
-    """Insert into a forward-elimination basis; returns the rank gain."""
-    while v:
-        p = (v & -v).bit_length() - 1
-        row = pivots.get(p)
-        if row is None:
-            pivots[p] = v
-            return 1
-        v ^= row
-    return 0
+def _chain_ranks(blocks: dict, down, droppable: int) -> dict:
+    """Nonzero homology ranks of a chain complex of simplex blocks.
 
-
-def _split_ranks(X: SimplicialComplex, eps: Colouring, drop_black: bool) -> dict:
-    """Nonzero homology ranks of one half of the boundary, by (i, k)."""
-    blocks, index = _blocks(X, eps)
-    keep = eps.bits if drop_black else ~eps.bits
-    out_rank: dict[tuple[int, int], int] = {}
-    for (i, k), masks in blocks.items():
-        if i == 0:
-            continue
-        tgt_index = index.get((i - 1, k if drop_black else k - 1), {})
-        pivots: dict[int, int] = {}
-        r = 0
-        for s in masks:
-            col = 0
-            for v in vertices_of(s & keep):
-                face = s ^ (1 << v)
-                if face:
-                    col |= 1 << tgt_index[face]
-            r += _rank_accumulate(pivots, col)
-        out_rank[(i, k)] = r
+    The differential drops one droppable vertex and maps block key to block
+    down(key); a block whose target is absent maps to zero.  Columns are
+    streamed into the rank, so no block's matrix is ever held.
+    """
+    index = _index(blocks)
+    out_rank: dict = {}
+    in_rank: dict = {}
+    for key, masks in blocks.items():
+        below = down(key)
+        if below in index:
+            r = f2.rank_of(_boundary_columns(masks, index[below], droppable))
+            out_rank[key] = in_rank[below] = r
     result = {}
-    for (i, k), masks in blocks.items():
-        up = (i + 1, k + (0 if drop_black else 1))
-        h = len(masks) - out_rank.get((i, k), 0) - out_rank.get(up, 0)
+    for key, masks in blocks.items():
+        h = len(masks) - out_rank.get(key, 0) - in_rank.get(key, 0)
         if h:
-            result[(i, k)] = h
+            result[key] = h
     return result
 
 
 def horizontal_homology(X: SimplicialComplex, eps: Colouring) -> dict:
     """Nonzero ranks of the horizontal homology, keyed by (i, k)."""
-    return _split_ranks(X, eps, drop_black=True)
+    return _chain_ranks(_blocks(X, eps), lambda ik: (ik[0] - 1, ik[1]), eps.bits)
 
 
 def diagonal_homology(X: SimplicialComplex, eps: Colouring) -> dict:
     """Nonzero ranks of the diagonal homology, keyed by (i, k)."""
-    return _split_ranks(X, eps, drop_black=False)
+    return _chain_ranks(_blocks(X, eps), lambda ik: (ik[0] - 1, ik[1] - 1), ~eps.bits)
 
 
 @dataclass(frozen=True)
@@ -224,14 +161,21 @@ def horizontal_homology_with_bases(X: SimplicialComplex,
                                    eps: Colouring) -> dict[tuple[int, int], BlockHomology]:
     """Per-bigrading homology with representative cycles (all blocks kept,
     including rank 0, so cube assembly can look up any bigrading)."""
-    cc = ColouredComplex(X, eps, validate=False)
-    out = {}
-    for (i, k), masks in cc.blocks.items():
-        b_out = cc.horizontal_matrix(i, k) if i > 0 else None
-        b_in = cc.horizontal_matrix(i + 1, k) if (i + 1, k) in cc.blocks else None
-        hom = f2.homology_at(b_in, b_out, len(masks))
-        out[(i, k)] = BlockHomology(masks, hom)
-    return out
+    blocks = _blocks(X, eps)
+    index = _index(blocks)
+    cycles: dict = {}
+    boundaries: dict = {}
+    for (i, k), masks in blocks.items():
+        target = index.get((i - 1, k))
+        if target is None:  # no simplex here has a black vertex to drop
+            cycles[(i, k)] = [1 << p for p in range(len(masks))]
+            continue
+        cycles[(i, k)], boundaries[(i - 1, k)] = f2.kernel_and_image(
+            _boundary_columns(masks, target, eps.bits))
+    return {key: BlockHomology(tuple(masks),
+                               f2.homology_at(cycles[key], boundaries.get(key, []),
+                                              len(masks)))
+            for key, masks in blocks.items()}
 
 
 def filtered_homology(X: SimplicialComplex, eps: Colouring, k: int) -> dict[int, int]:
@@ -245,28 +189,9 @@ def filtered_homology(X: SimplicialComplex, eps: Colouring, k: int) -> dict[int,
         kept = [s for s in masks if (s & ~eps.bits).bit_count() <= k]
         if kept:
             by_dim[d] = kept
-    index = {d: {s: p for p, s in enumerate(masks)} for d, masks in by_dim.items()}
-    out_rank: dict[int, int] = {}
-    for d, masks in by_dim.items():
-        if d == 0:
-            continue
-        tgt = index.get(d - 1, {})
-        pivots: dict[int, int] = {}
-        r = 0
-        for s in masks:
-            col = 0
-            for v in vertices_of(s):
-                face = s ^ (1 << v)
-                if face in tgt:
-                    col |= 1 << tgt[face]
-            r += _rank_accumulate(pivots, col)
-        out_rank[d] = r
-    result = {}
-    for d, masks in by_dim.items():
-        h = len(masks) - out_rank.get(d, 0) - out_rank.get(d + 1, 0)
-        if h:
-            result[d] = h
-    return result
+    # a face never has more white vertices than its simplex, so the kept
+    # simplices form a subcomplex
+    return _chain_ranks(by_dim, lambda d: d - 1, -1)
 
 
 def simplicial_homology(X: SimplicialComplex, reduced: bool = False) -> dict[int, int]:
@@ -275,33 +200,9 @@ def simplicial_homology(X: SimplicialComplex, reduced: bool = False) -> dict[int
     With reduced=True the augmentation to a degree -1 generator is included;
     the void complex then has rank 1 in degree -1.
     """
-    by_dim = X.by_dim
-    index = {d: {s: p for p, s in enumerate(masks)} for d, masks in by_dim.items()}
-    out_rank: dict[int, int] = {}
-    for d, masks in by_dim.items():
-        if d == 0:
-            if reduced:
-                out_rank[0] = 1  # augmentation has rank 1 once any vertex exists
-            continue
-        tgt = index[d - 1]
-        pivots: dict[int, int] = {}
-        r = 0
-        for s in masks:
-            col = 0
-            for v in vertices_of(s):
-                col |= 1 << tgt[s ^ (1 << v)]
-            r += _rank_accumulate(pivots, col)
-        out_rank[d] = r
-    result = {}
-    if reduced:
-        h = 1 - out_rank.get(0, 0)
-        if h:
-            result[-1] = h
-    for d, masks in by_dim.items():
-        h = len(masks) - out_rank.get(d, 0) - out_rank.get(d + 1, 0)
-        if h:
-            result[d] = h
-    return result
+    # the augmentation is the boundary onto the empty simplex (mask 0)
+    blocks = {-1: (0,), **X.by_dim} if reduced else X.by_dim
+    return _chain_ranks(blocks, lambda d: d - 1, -1)
 
 
 def black_subcomplex(X: SimplicialComplex, eps: Colouring):

@@ -1,15 +1,18 @@
 """Dense linear algebra over GF(2) on Python int bitsets.
 
-A vector in F_2^n is an int whose bit i is coordinate i.  Echelon forms use
-lowest-set-bit pivoting throughout, which makes the reduced basis of a
-subspace canonical: two generating sets span the same subspace iff they
-echelon to the same row list.
+A vector in F_2^n is an int whose bit i is coordinate i.  There is one
+elimination kernel, `insert`: lowest-set-bit forward elimination into a
+dict from pivot position to row.  Its rows have distinct pivots but are not
+reduced against each other, which is all that ranks, span membership and
+coordinates need.  Reduced (canonical) echelon form is kept only for the
+kernel basis of `kernel_and_image`, because those rows become the cycle
+representatives that reports print: two generating sets span the same
+subspace iff they reduce to the same row list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 
 def _low_bit(v: int) -> int:
@@ -17,202 +20,98 @@ def _low_bit(v: int) -> int:
     return (v & -v).bit_length() - 1
 
 
-def echelon(vectors) -> list[int]:
-    """Reduced echelon basis of the span, sorted by pivot position.
+def insert(pivots: dict[int, int], v: int) -> bool:
+    """Add v to a forward-elimination basis {lowest set bit: row}.
 
-    Rows satisfy the RREF invariant: a pivot bit is set in its own row only.
-    That makes single-pass reduction against the rows order-independent.
+    Returns True when v enlarged the span; otherwise v reduced to zero and
+    the basis is unchanged.
     """
+    while v:
+        p = (v & -v).bit_length() - 1
+        row = pivots.get(p)
+        if row is None:
+            pivots[p] = v
+            return True
+        v ^= row
+    return False
+
+
+def rank_of(columns) -> int:
+    """Rank of the span of an iterable of vectors."""
     pivots: dict[int, int] = {}
-    for v in vectors:
-        for p, row in pivots.items():
-            if v >> p & 1:
-                v ^= row
-        if v == 0:
-            continue
-        p = _low_bit(v)
-        for q, row in pivots.items():
-            if row >> p & 1:
-                pivots[q] = row ^ v
-        pivots[p] = v
-    return [pivots[p] for p in sorted(pivots)]
-
-
-def rank_of(vectors) -> int:
-    return len(echelon(vectors))
+    return sum(1 for v in columns if insert(pivots, v))
 
 
 def kernel_and_image(columns) -> tuple[list[int], list[int]]:
     """Kernel and image bases of the linear map sending e_j to columns[j].
 
-    Kernel vectors are bitsets over column indices, image vectors live in
-    the codomain.  Both come back in reduced echelon form.
+    Kernel vectors are bitsets over column indices, in reduced echelon form
+    sorted by pivot.  Image vectors live in the codomain; they have distinct
+    lowest set bits but are not reduced against each other.
+
+    One elimination of the augmented columns v | 1 << (n + j), with n the
+    bit length of the widest column, does both: a row whose pivot lies
+    below n keeps its codomain part nonzero and spans the image; a row whose
+    pivot is n or above has a zero codomain part, so its upper bits are a
+    kernel vector.
     """
-    pivots: dict[int, tuple[int, int]] = {}
-    kernel: list[int] = []
+    columns = list(columns)
+    n = max((v.bit_length() for v in columns), default=0)
+    pivots: dict[int, int] = {}
     for j, v in enumerate(columns):
-        combo = 1 << j
-        for p, (row, c) in pivots.items():
-            if v >> p & 1:
-                v ^= row
-                combo ^= c
-        if v == 0:
-            kernel.append(combo)
-            continue
-        p = _low_bit(v)
-        for q, (row, c) in pivots.items():
-            if row >> p & 1:
-                pivots[q] = (row ^ v, c ^ combo)
-        pivots[p] = (v, combo)
-    image = [pivots[p][0] for p in sorted(pivots)]
-    return echelon(kernel), image
+        insert(pivots, v | 1 << (n + j))
+    mask = (1 << n) - 1
+    image = [row & mask for p, row in pivots.items() if p < n]
+    kernel = {p - n: row >> n for p, row in pivots.items() if p >= n}
+    # back-substitution, highest pivot first: clear each pivot bit from the
+    # lower-pivot rows, which leaves one row per pivot bit
+    order = sorted(kernel)
+    for i in range(len(order) - 1, 0, -1):
+        q = order[i]
+        row = kernel[q]
+        for p in order[:i]:
+            if kernel[p] >> q & 1:
+                kernel[p] ^= row
+    return [kernel[p] for p in order], image
 
 
 @dataclass(frozen=True)
 class BitMatrix:
-    """Row-major GF(2) matrix; data[i] is the bitset of row i."""
+    """Column-major GF(2) matrix; columns[j] is the bitset of column j."""
 
     rows: int
     cols: int
-    data: tuple[int, ...]
+    columns: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.data) != self.rows:
-            raise ValueError("row count does not match data length")
-        mask = (1 << self.cols) - 1
-        if any(row & ~mask for row in self.data):
-            raise ValueError("row has bits beyond the column count")
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, (0,) * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def from_columns(cls, rows: int, cols: int, columns) -> "BitMatrix":
-        data = [0] * rows
-        for j, col in enumerate(columns):
-            while col:
-                i = _low_bit(col)
-                col &= col - 1
-                data[i] |= 1 << j
-        return cls(rows, cols, tuple(data))
-
-    @cached_property
-    def _columns(self) -> tuple[int, ...]:
-        cols = [0] * self.cols
-        for i, row in enumerate(self.data):
-            while row:
-                j = _low_bit(row)
-                row &= row - 1
-                cols[j] |= 1 << i
-        return tuple(cols)
-
-    def columns(self) -> tuple[int, ...]:
-        return self._columns
-
-    def mul_vec(self, v: int) -> int:
-        """Matrix-vector product; v is a bitset over column positions."""
-        out = 0
-        for i, row in enumerate(self.data):
-            if (row & v).bit_count() & 1:
-                out |= 1 << i
-        return out
-
-    def matmul(self, other: "BitMatrix") -> "BitMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions differ")
-        data = []
-        for row in self.data:
-            acc = 0
-            while row:
-                k = _low_bit(row)
-                row &= row - 1
-                acc ^= other.data[k]
-            data.append(acc)
-        return BitMatrix(self.rows, other.cols, tuple(data))
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.cols, self.rows, self._columns)
-
-    def is_zero(self) -> bool:
-        return all(row == 0 for row in self.data)
-
-
-def rank(matrix: BitMatrix) -> int:
-    return rank_of(matrix.data)
-
-
-def kernel_basis(matrix: BitMatrix) -> list[int]:
-    return kernel_and_image(matrix.columns())[0]
-
-
-def image_basis(matrix: BitMatrix) -> list[int]:
-    return kernel_and_image(matrix.columns())[1]
-
-
-def augmentation_matrix(n: int) -> BitMatrix:
-    """The map C_0 -> F sending every generator to 1 (for reduced homology)."""
-    return BitMatrix(1, n, ((1 << n) - 1,))
-
-
-class SubspaceBasis:
-    """Incrementally built echelon basis with membership queries."""
-
-    def __init__(self, ambient_dim: int, vectors=()):
-        self.ambient_dim = ambient_dim
-        self._pivots: dict[int, int] = {}
-        for v in vectors:
-            self.add(v)
-
-    def __len__(self) -> int:
-        return len(self._pivots)
-
-    def reduce(self, v: int) -> int:
-        for p, row in self._pivots.items():
-            if v >> p & 1:
-                v ^= row
-        return v
-
-    def add(self, v: int) -> bool:
-        """Insert v; returns True when it enlarged the span."""
-        v = self.reduce(v)
-        if v == 0:
-            return False
-        p = _low_bit(v)
-        for q, row in self._pivots.items():
-            if row >> p & 1:
-                self._pivots[q] = row ^ v
-        self._pivots[p] = v
-        return True
-
-    def __contains__(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
-    def vectors(self) -> list[int]:
-        return [self._pivots[p] for p in sorted(self._pivots)]
+        if len(self.columns) != self.cols:
+            raise ValueError("column count does not match data length")
+        if any(col >> self.rows for col in self.columns):
+            raise ValueError("column has bits beyond the row count")
 
 
 class HomologyWithBasis:
     """Homology of a chain group with chosen cycle representatives.
 
-    Representatives are the cycle-echelon rows whose pivots are not pivots of
-    the boundary subspace; together with the boundary echelon rows they form
-    a basis of the cycle space, so their classes are a basis of homology.
+    cycle_rows is the reduced echelon basis of the cycle space, boundary_rows
+    an echelon basis (distinct lowest set bits) of the boundary space.
+    Representatives are the cycle rows whose pivots are not pivots of the
+    boundary space; together with the boundary rows they form a basis of
+    the cycle space, so their classes are a basis of homology.  Raises
+    ValueError when some boundary is not a cycle.
     """
 
     def __init__(self, dim: int, cycle_rows: list[int], boundary_rows: list[int]):
         self.dim = dim
+        cycles = {_low_bit(r): r for r in cycle_rows}
+        for r in boundary_rows:
+            if insert(cycles, r):
+                raise ValueError("boundary maps do not compose to zero")
         self._boundary = {_low_bit(r): r for r in boundary_rows}
         reps = [r for r in cycle_rows if _low_bit(r) not in self._boundary]
         self._reps = {_low_bit(r): (r, i) for i, r in enumerate(reps)}
         self.representatives: tuple[int, ...] = tuple(reps)
         self.rank = len(reps)
-        if len(cycle_rows) != len(boundary_rows) + self.rank:
-            raise ValueError("boundary subspace not contained in cycle space")
 
     def coordinates(self, z: int) -> int:
         """Coordinates of the class [z] over the representatives.
@@ -234,23 +133,13 @@ class HomologyWithBasis:
         return out
 
 
-def homology_at(boundary_in: BitMatrix | None, boundary_out: BitMatrix | None,
+def homology_at(cycle_rows: list[int], boundary_rows: list[int],
                 dim: int) -> HomologyWithBasis:
     """Homology with bases at a chain group of the given dimension.
 
-    boundary_out maps this group outward, boundary_in maps into it; None
-    stands for the zero map.
+    cycle_rows is the kernel of the outgoing boundary and boundary_rows the
+    image of the incoming one, both as `kernel_and_image` returns them.
     """
-    if boundary_out is not None and boundary_out.cols != dim:
-        raise ValueError("outgoing boundary has wrong source dimension")
-    if boundary_in is not None and boundary_in.rows != dim:
-        raise ValueError("incoming boundary has wrong target dimension")
-    if boundary_in is not None and boundary_out is not None:
-        if not boundary_out.matmul(boundary_in).is_zero():
-            raise ValueError("boundary maps do not compose to zero")
-    if boundary_out is None:
-        cycles = [1 << i for i in range(dim)]
-    else:
-        cycles = kernel_basis(boundary_out)
-    boundaries = [] if boundary_in is None else image_basis(boundary_in)
-    return HomologyWithBasis(dim, cycles, boundaries)
+    if any(r >> dim for r in cycle_rows) or any(r >> dim for r in boundary_rows):
+        raise ValueError("basis row has bits beyond the chain group dimension")
+    return HomologyWithBasis(dim, cycle_rows, boundary_rows)

@@ -529,7 +529,8 @@ def h0_graph(G: SimpleGraph) -> dict[int, int]:
         dim = sum(len(roots) for roots, _ in cur.values())
         rank = f2.rank_of(columns) if j < m else 0
         h = dim - rank - prev_rank
-        assert h >= 0
+        if h < 0:
+            raise AssertionError("cube differential ranks exceed the level dimension")
         if h:
             result[j] = h
         prev_rank = rank

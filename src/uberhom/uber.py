@@ -106,7 +106,7 @@ def d_eta_matrix(source_eps: Colouring, source_block: BlockHomology,
             vec |= 1 << index[mask]
         columns.append(target_block.hom.coordinates(vec))
     rows = target_block.hom.rank if target_block is not None else 0
-    return f2.BitMatrix.from_columns(rows, len(columns), columns)
+    return f2.BitMatrix(rows, len(columns), tuple(columns))
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def _level_matrix_ranks(X: SimplicialComplex, cur, nxt, bidegrees) -> dict:
                 if mat.rows == 0:
                     continue
                 shift = offsets[bg][target.eps.bits]
-                for c, col in enumerate(mat.columns()):
+                for c, col in enumerate(mat.columns):
                     cols[c] ^= col << shift
             columns.setdefault(bg, []).extend(cols)
     return {bg: f2.rank_of(cols) for bg, cols in columns.items()}
@@ -194,7 +194,8 @@ def uber_homology(X: SimplicialComplex, cap: int | None = None,
         cur_rank = _level_matrix_ranks(X, cur, nxt, bidegrees) if j < m else {}
         for bg, dim in dims.items():
             r = dim - cur_rank.get(bg, 0) - prev_rank.get(bg, 0)
-            assert r >= 0, "cube differential ranks exceed the level dimension"
+            if r < 0:
+                raise AssertionError("cube differential ranks exceed the level dimension")
             if r:
                 result[(j, bg[0], bg[1])] = r
         prev_rank = cur_rank
@@ -229,7 +230,7 @@ def uber_top_level(X: SimplicialComplex, cap: int | None = None) -> dict:
     all_black = Colouring.all_black(m)
     target = horizontal_homology_with_bases(X, all_black)
     live = {bg: blk for bg, blk in target.items() if blk.hom.rank}
-    images = {bg: f2.SubspaceBasis(blk.hom.rank) for bg, blk in live.items()}
+    images: dict = {bg: {} for bg in live}  # pivot -> row, per bidegree
     for v in range(m):
         eps = Colouring(all_black.bits ^ (1 << v), m)
         source = horizontal_homology_with_bases(X, eps)
@@ -238,8 +239,8 @@ def uber_top_level(X: SimplicialComplex, cap: int | None = None) -> dict:
                 continue
             mat = d_eta_matrix(eps, blk, all_black, target.get(bg), v)
             if bg in images:
-                for col in mat.columns():
-                    images[bg].add(col)
+                for col in mat.columns:
+                    f2.insert(images[bg], col)
     out = {}
     for bg, blk in live.items():
         r = blk.hom.rank - len(images[bg])

@@ -136,6 +136,43 @@ def naive_diagonal(facets, black) -> dict[tuple[int, int], int]:
     return ranks
 
 
+def check_split_boundaries(simplices, black):
+    """Raise AssertionError unless the two halves of the boundary of a
+    coloured complex form a double complex.
+
+    The horizontal half drops one black vertex, the diagonal half one white
+    vertex.  Each must square to zero, the two must anticommute (commute,
+    mod 2), and every face they reach must be a simplex of the complex.
+    """
+    simplices = {frozenset(s) for s in simplices}
+    black = frozenset(black)
+
+    def drop(chain, droppable):
+        out = set()
+        for s in chain:
+            if len(s) > 1:
+                for v in droppable(s):
+                    out ^= {s - {v}}
+        return out
+
+    def horizontal(chain):
+        return drop(chain, lambda s: s & black)
+
+    def diagonal(chain):
+        return drop(chain, lambda s: s - black)
+
+    for s in simplices:
+        h, d = horizontal({s}), diagonal({s})
+        if not (h | d) <= simplices:
+            raise AssertionError("a boundary face is missing from the complex")
+        if horizontal(h):
+            raise AssertionError("horizontal differential does not square to zero")
+        if diagonal(d):
+            raise AssertionError("diagonal differential does not square to zero")
+        if diagonal(h) != horizontal(d):
+            raise AssertionError("differentials do not anticommute")
+
+
 # ---------------------------------------------------------------------------
 # graphs as (n, edge set)
 

@@ -4,6 +4,7 @@ Most tests drive main() in-process and inspect parsed JSON; a few go through
 the installed console script to pin down exit codes in a real process.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -70,6 +71,43 @@ def test_generators_payload(files, capsys):
                                      "--colouring", "all", "--generators"])
     assert code == 2
     assert "single colouring" in err
+
+
+# stdout SHA-256 of `--generators` reports.  Representatives are printed in
+# reduced echelon form over the block's simplex order; a change in how the
+# cycle basis is chosen changes these bytes while every rank stays the same.
+GENERATOR_DIGESTS = {
+    ("torus_min", "1111111", "horizontal"):
+        "f38712be40347982a079e0af2270666a3145b784a359b621b6242d38ba9d0e76",
+    ("torus_min", "1111111", "diagonal"):
+        "960d42516c911ce6de60a67bddd5750e1d270908750f8cba79649666cdffb73e",
+    ("torus_min", "1010010", "horizontal"):
+        "c6f6ba432368d9be88f025d84a7930972ab728b4aa87f56dbe210c1ed966296e",
+    ("torus_min", "1010010", "diagonal"):
+        "942a6e4c6c2e5c42c041e7fbb8a5969e2c2cd461bb7da7ce5742113e69ce418f",
+    ("torus_min", "0110101", "horizontal"):
+        "db968da0537d0191985ac47f25b0d61e9fd5b00ae8f20867e98ce3ce356384b5",
+    ("torus_min", "0110101", "diagonal"):
+        "daa690548c02779a1ac0380e067d1e8eabd8f3d131189f8ae20fdde54a9037a4",
+    ("suspension_rp2", "10110010", "horizontal"):
+        "5972371a1bc01abf01614526793c9ad0d4afa07151be269c0a9bc97487726be4",
+    ("suspension_rp2", "10110010", "diagonal"):
+        "b3bda20c5e75e7096c35c1f67369fbf5affaa9cd51b3269897ca353e96f47ccf",
+}
+
+
+def test_generators_golden(tmp_path, capsys):
+    complexes = {"torus_min": standard_complex("torus_min"),
+                 "suspension_rp2": standard_complex("rp2_min").suspension()}
+    for name, X in complexes.items():
+        (tmp_path / f"{name}.cplx").write_text(format_complex(X))
+    for (name, colouring, command), digest in GENERATOR_DIGESTS.items():
+        path = str(tmp_path / f"{name}.cplx")
+        code, out, err = run_text(capsys, [command, path, "--colouring", colouring,
+                                           "--generators"])
+        assert code == 0 and not err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, \
+            (name, colouring, command)
 
 
 def test_colouring_specs(files, capsys):

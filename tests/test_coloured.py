@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uberhom import (
     Colouring,
@@ -10,7 +12,6 @@ from uberhom import (
     InvalidColouring,
     ParseError,
     black_subcomplex,
-    build_coloured_complex,
     diagonal_homology,
     filtered_homology,
     flatten,
@@ -24,7 +25,8 @@ from uberhom import (
     weight,
 )
 
-from oracles import naive_diagonal, naive_horizontal
+from oracles import (check_split_boundaries, naive_diagonal, naive_horizontal,
+                     naive_simplicial_homology)
 
 
 def facet_sets(X):
@@ -114,9 +116,32 @@ def test_all_white_gives_chain_ranks(suite):
 
 
 def test_boundaries_square_to_zero(suite):
-    # build_coloured_complex validates both partial boundaries internally
     for X, eps in exhaustive_pairs(suite, limit_vertices=4):
-        build_coloured_complex(X, eps, validate=True)
+        check_split_boundaries(map(vertices_of, X.simplices), eps.black_vertices())
+
+
+@st.composite
+def coloured_complexes(draw):
+    """A complex on at most 5 vertices, from up to 6 random facets, and a
+    colouring of it."""
+    m = draw(st.integers(1, 5))
+    facets = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1),
+                           min_size=1, max_size=6))
+    X = from_facets(m, facets)
+    return X, Colouring(draw(st.integers(0, (1 << m) - 1)), m)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(coloured_complexes())
+def test_homology_matches_oracles_on_random_complexes(case):
+    X, eps = case
+    facets = facet_sets(X)
+    black = eps.black_vertices()
+    assert horizontal_homology(X, eps) == naive_horizontal(facets, black)
+    assert diagonal_homology(X, eps) == naive_diagonal(facets, black)
+    for reduced in (False, True):
+        assert simplicial_homology(X, reduced=reduced) == \
+            naive_simplicial_homology(facets, reduced=reduced)
 
 
 def test_horizontal_diagonal_duality(suite):
