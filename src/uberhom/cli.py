@@ -281,31 +281,27 @@ def cmd_theta(args) -> dict:
 
 
 def _dissim_worker(args):
-    i, j, g6_i, g6_j = args
-    G1 = parse_graph6(g6_i)
-    G2 = parse_graph6(g6_j)
+    i, j, G1, G2 = args
     d = dissimilarity(G1, G2)
     if d.infinite:
-        return (i, j, g6_i, g6_j, "inf", "", "")
+        return (i, j, "inf", "", "")
     level = "theta-equivalent" if d.theta_equivalent else str(d.first_differing_level)
-    return (i, j, g6_i, g6_j,
-            str(d.value.numerator), str(d.value.denominator), level)
+    return (i, j, str(d.value.numerator), str(d.value.denominator), level)
 
 
 def cmd_dissim(args) -> dict:
     names, digest = _load_corpus(args.input)
-    for name in names:
-        parse_graph6(name)  # fail fast on a bad corpus line
-    work = [(i, j, names[i], names[j])
-            for i in range(len(names)) for j in range(i + 1, len(names))]
+    graphs = [parse_graph6(name) for name in names]  # fails fast on a bad line
+    work = ((i, j, graphs[i], graphs[j])
+            for i in range(len(graphs)) for j in range(i + 1, len(graphs)))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_dissim_worker, work, chunksize=8))
     else:
         rows = [_dissim_worker(w) for w in work]
-    rows.sort(key=lambda r: (r[0], r[1]))
-    pairs = [{"name1": r[2], "name2": r[3], "delta_num": r[4],
-              "delta_den": r[5], "first_differing_level": r[6]} for r in rows]
+    pairs = [{"name1": names[i], "name2": names[j], "delta_num": num,
+              "delta_den": den, "first_differing_level": level}
+             for i, j, num, den, level in rows]
     return {"input_sha256": digest, "graph_count": len(names), "pairs": pairs}
 
 

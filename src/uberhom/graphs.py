@@ -9,6 +9,7 @@ the four specialised graph homologies with their closed-form shortcuts.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -84,15 +85,7 @@ class SimpleGraph:
     @cached_property
     def is_connected(self) -> bool:
         full = (1 << self.vertex_count) - 1
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in vertices_of(frontier):
-                nxt |= self.adjacency[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == full
+        return len(_black_components_with_roots(self.adjacency, full)[0]) == 1
 
     def permuted(self, perm) -> "SimpleGraph":
         """Relabelled copy; perm maps old vertex ids to new ones."""
@@ -220,25 +213,27 @@ def matching_complex(G: SimpleGraph) -> SimplicialComplex:
 # Theta levels and dissimilarity
 
 
-def _black_component_count(adj, bits: int) -> tuple[int, int]:
-    """Component count and edge count of the induced black subgraph."""
-    comps = 0
-    bb_edges = 0
-    seen = 0
+def _black_components_with_roots(adj, bits: int):
+    """Component roots (minimum vertex, ascending) of the subgraph induced on
+    bits, and the per-vertex root lookup."""
+    roots: list[int] = []
+    root: dict[int, int] = {}
     for v in vertices_of(bits):
-        bb_edges += (adj[v] & bits).bit_count()
-        if (seen >> v) & 1:
+        if v in root:
             continue
-        comps += 1
+        roots.append(v)
+        root[v] = v
         frontier = 1 << v
-        seen |= frontier
+        seen = frontier
         while frontier:
             nxt = 0
             for u in vertices_of(frontier):
                 nxt |= adj[u] & bits
             frontier = nxt & ~seen
             seen |= frontier
-    return comps, bb_edges // 2
+            for w in vertices_of(frontier):
+                root[w] = v
+    return roots, root
 
 
 def closed_form_signature(G: SimpleGraph, bits: int) -> tuple:
@@ -247,16 +242,22 @@ def closed_form_signature(G: SimpleGraph, bits: int) -> tuple:
 
     Ranks: (0,0) black components; (1,0) black cyclomatic number; (0,1) white
     vertices with no black neighbour; (1,1) mixed edges minus their distinct
-    white endpoints; (1,2) all-white edges.
+    white endpoints; (1,2) all-white edges.  The counts are exact for every
+    graph, connected or not, and every colouring: tests/test_graphs.py checks
+    them against the matrix homology on whole cubes
+    (test_closed_form_signature_is_exact) and against the brute-force oracle
+    on random graphs (test_closed_form_signature_matches_oracle).
     """
     adj = G.adjacency
-    comps, bb = _black_component_count(adj, bits)
-    bw = ww = 0
+    comps = len(_black_components_with_roots(adj, bits)[0])
+    bb = bw = ww = 0
     for u, v in G.edges:
         black_ends = ((bits >> u) & 1) + ((bits >> v) & 1)
-        if black_ends == 1:
+        if black_ends == 2:
+            bb += 1
+        elif black_ends == 1:
             bw += 1
-        elif black_ends == 0:
+        else:
             ww += 1
     white = ~bits & ((1 << G.vertex_count) - 1)
     v_wb = sum(1 for w in vertices_of(white) if adj[w] & bits)
@@ -295,28 +296,21 @@ class ThetaLevel:
 def theta(G: SimpleGraph, j: int) -> ThetaLevel:
     """Theta invariant at level j (j black vertices).
 
-    Levels 0 and 1 come from the counting closed forms; higher levels run the
-    full horizontal homology per colouring.
+    Every colouring's signature comes from closed_form_signature, so no
+    homology is computed.  Levels 2 and up keep graph_as_complex's contract
+    and raise ComplexError on a disconnected graph, although the counts hold
+    for disconnected graphs too.
     """
     m = G.vertex_count
     if not 0 <= j <= m:
         raise ComplexError(f"level {j} out of range for {m} vertices")
-    signatures = []
-    if j <= 1:
-        for mask in level_masks(m, j):
-            signatures.append(closed_form_signature(G, mask))
-    else:
-        X = graph_as_complex(G)
-        for mask in level_masks(m, j):
-            ranks = horizontal_homology(X, Colouring(mask, m))
-            signatures.append(tuple(sorted(
-                ((i, k, r) for (i, k), r in ranks.items()), reverse=True)))
+    if j >= 2 and not G.is_connected:
+        raise ComplexError("graph must be connected to convert to a complex")
+    signatures = [closed_form_signature(G, mask) for mask in level_masks(m, j)]
     entries = tuple(sorted(
         ((j, i, k, r) for sig in signatures for i, k, r in sig), reverse=True))
-    counter: dict = {}
-    for sig in signatures:
-        counter[sig] = counter.get(sig, 0) + 1
-    return ThetaLevel(j, entries, tuple(sorted(counter.items(), reverse=True)))
+    counts = Counter(signatures)
+    return ThetaLevel(j, entries, tuple(sorted(counts.items(), reverse=True)))
 
 
 def theta_profile(G: SimpleGraph, max_level: int) -> tuple:
@@ -432,8 +426,10 @@ def vertex_cover_bijection_check(G: SimpleGraph) -> bool:
 def _black_is_tree(G: SimpleGraph, bits: int) -> bool:
     if not bits:
         return False
-    comps, bb_edges = _black_component_count(G.adjacency, bits)
-    return comps == 1 and bb_edges == bits.bit_count() - 1
+    adj = G.adjacency
+    roots, _ = _black_components_with_roots(adj, bits)
+    bb_edges = sum((adj[v] & bits).bit_count() for v in vertices_of(bits)) // 2
+    return len(roots) == 1 and bb_edges == bits.bit_count() - 1
 
 
 def spacious_trees(G: SimpleGraph) -> list[Colouring]:
@@ -469,26 +465,6 @@ def maximal_spacious_trees(G: SimpleGraph) -> list[Colouring]:
 
 # ---------------------------------------------------------------------------
 # specialised graph homologies
-
-
-def _black_components_with_roots(adj, bits: int):
-    """Sorted component roots (minimum vertex) and per-vertex root lookup."""
-    root: dict[int, int] = {}
-    for v in vertices_of(bits):
-        if v in root:
-            continue
-        root[v] = v
-        frontier = 1 << v
-        seen = frontier
-        while frontier:
-            nxt = 0
-            for u in vertices_of(frontier):
-                nxt |= adj[u] & bits
-            frontier = nxt & ~seen
-            seen |= frontier
-            for w in vertices_of(frontier):
-                root[w] = v
-    return sorted(set(root.values())), root
 
 
 def h0_graph(G: SimpleGraph) -> dict[int, int]:

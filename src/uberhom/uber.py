@@ -6,8 +6,8 @@ collects the colourings with j black vertices, and each cube edge flips one
 vertex from white to black.  The edge map deletes every simplex containing
 the flipped vertex; it is a chain map, so it descends to homology classes.
 Levels are reduced in a streaming fashion (only two adjacent levels are ever
-held), and the closed-form shortcuts for the bottom and top of the cube are
-provided alongside the full computation.
+held); a closed form for the bottom of the cube and a two-level shortcut
+for its top are provided alongside the full computation.
 """
 
 from __future__ import annotations
@@ -221,35 +221,23 @@ def uber_degree0_fast(X: SimplicialComplex) -> dict:
     return ranks
 
 
-def uber_top_level(X: SimplicialComplex, cap: int | None = None) -> dict:
+def uber_top_level(X: SimplicialComplex) -> dict:
     """Top cube level {(i, 0): rank}: the all-black homology modulo the images
     of the one-white-vertex colourings.  Needs only m+1 homology computations."""
     if X.is_void:
         return {}
     m = X.vertex_count
-    all_black = Colouring.all_black(m)
-    target = horizontal_homology_with_bases(X, all_black)
-    live = {bg: blk for bg, blk in target.items() if blk.hom.rank}
-    images: dict = {bg: {} for bg in live}  # pivot -> row, per bidegree
-    for v in range(m):
-        eps = Colouring(all_black.bits ^ (1 << v), m)
-        source = horizontal_homology_with_bases(X, eps)
-        for bg, blk in source.items():
-            if not blk.hom.rank:
-                continue
-            mat = d_eta_matrix(eps, blk, all_black, target.get(bg), v)
-            if bg in images:
-                for col in mat.columns:
-                    f2.insert(images[bg], col)
+    top = _level(X, m)
+    ranks = _level_matrix_ranks(X, _level(X, m - 1), top, None)
     out = {}
-    for bg, blk in live.items():
-        r = blk.hom.rank - len(images[bg])
+    for bg, dim in _level_dims(top, None).items():
+        r = dim - ranks.get(bg, 0)
         if r:
             out[bg] = r
     return out
 
 
-def uber_topdegree_check(X: SimplicialComplex, cap: int | None = None) -> dict:
+def uber_topdegree_check(X: SimplicialComplex) -> dict:
     """Checks specific to closed-manifold triangulations.
 
     Verifies that every vertex link has the GF(2) homology of a sphere of
@@ -277,7 +265,7 @@ def uber_topdegree_check(X: SimplicialComplex, cap: int | None = None) -> dict:
         expected.update({(i, 0): r for i, r in deleted.items()})
         if blocks != expected:
             blocks_match = False
-    top = uber_top_level(X, cap)
+    top = uber_top_level(X)
     return {
         "dimension": n,
         "vertex_count": m,
@@ -303,10 +291,10 @@ def cone_suspension_checks(X: SimplicialComplex, cap: int | None = None) -> dict
     apex_bit = 1 << X.vertex_count
     core = star_intersection(X)
     coned_core = tuple(sorted(core + tuple(s | apex_bit for s in core) + (apex_bit,)))
-    x_top = uber_top_level(X, cap)
-    susp_top = uber_top_level(susp, cap)
+    x_top = uber_top_level(X)
+    susp_top = uber_top_level(susp)
     return {
-        "cone_top_vanishes": uber_top_level(cone, cap) == {},
+        "cone_top_vanishes": uber_top_level(cone) == {},
         "cone_core_is_coned": star_intersection(cone) == coned_core,
         "suspension_degree0_matches": uber_degree0_fast(susp) == uber_degree0_fast(X),
         "x_top_level": x_top,

@@ -6,11 +6,14 @@ the installed console script to pin down exit codes in a real process.
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import uberhom
 from uberhom import format_complex, matching_complex, parse_graph6, standard_complex
 from uberhom.cli import main
 
@@ -225,6 +228,23 @@ def test_dissim_parallel_and_json(files, capsys):
         "first_differing_level": "2"}
 
 
+def test_disconnected_graph_contract(tmp_path, capsys):
+    """Theta levels 0 and 1 accept a disconnected graph; level 2 and dissim,
+    which reaches level 2 on two equal graphs, exit 2."""
+    graph = tmp_path / "two_edges.g6"
+    graph.write_text("C`\n")  # edges 0-1 and 2-3
+    corpus = tmp_path / "pair.g6"
+    corpus.write_text("C`\nC`\n")
+    report = run_json(capsys, ["theta", str(graph), "--level", "1"])
+    assert report["level"] == 1
+    code, _, err = run_text(capsys, ["theta", str(graph), "--level", "2"])
+    assert code == 2
+    assert "graph must be connected" in err
+    code, _, err = run_text(capsys, ["dissim", str(corpus)])
+    assert code == 2
+    assert "graph must be connected" in err
+
+
 def test_graph_hom(files, capsys):
     report = run_json(capsys, ["graph-hom", "h0", files["k4"]])
     assert report["ranks"] == {"01": 1}
@@ -302,18 +322,22 @@ def test_error_exit_codes(files, capsys, tmp_path):
 
 
 def test_console_script_subprocess(files):
+    # the child process imports the same package as this one, installed or not
+    src = str(Path(uberhom.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
     result = subprocess.run(
         [sys.executable, "-m", "uberhom.cli", "uber0", files["d2"]],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert json.loads(result.stdout)["ranks"]["(02,03)"] == 1
     result = subprocess.run(
         [sys.executable, "-m", "uberhom.cli", "uber", files["d3"],
          "--cap", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert result.returncode == 4
     result = subprocess.run(
         [sys.executable, "-m", "uberhom.cli", "horizontal", files["d2"],
          "--colouring", "10"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert result.returncode == 3

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uberhom import (
     Colouring,
@@ -48,6 +50,7 @@ from oracles import (
     is_tree,
     naive_girth,
     naive_graph_h0,
+    naive_horizontal,
     naive_min_cover,
 )
 
@@ -177,6 +180,33 @@ def test_closed_form_signature_is_exact():
             expected = tuple(sorted(
                 ((i, k, r) for (i, k), r in ranks.items()), reverse=True))
             assert closed_form_signature(G, bits) == expected, (G.edges, bits)
+
+
+@st.composite
+def ordered_graphs(draw):
+    """A graph on at most 8 vertices, connected or not, and a vertex order;
+    the first j vertices of the order are the black set of weight j."""
+    m = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(m), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    G = SimpleGraph.from_edges(m, [p for p, k in zip(pairs, keep) if k])
+    return G, draw(st.permutations(range(m)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(ordered_graphs())
+def test_closed_form_signature_matches_oracle(case):
+    """theta rests on the counting formulas at every level; check them against
+    the brute-force horizontal homology, one colouring of every weight."""
+    G, order = case
+    facets = [{v} for v in range(G.vertex_count)] + [set(e) for e in G.edges]
+    for j in range(G.vertex_count + 1):
+        black = order[:j]
+        ranks = naive_horizontal(facets, black)
+        expected = tuple(sorted(((i, k, r) for (i, k), r in ranks.items()),
+                                reverse=True))
+        bits = sum(1 << v for v in black)
+        assert closed_form_signature(G, bits) == expected, (G.edges, bits)
 
 
 def test_theta_structure():
