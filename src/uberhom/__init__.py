@@ -14,12 +14,12 @@ from .errors import (CapExceeded, ColouringMismatch, ComplexError, InvalidColour
                      ParseError, UberhomError)
 from .graphs import (Dissimilarity, SimpleGraph, ThetaLevel, closed_form_signature,
                      complete_bipartite_graph, complete_graph, cycle_graph,
-                     delta_lower_bounds, dissimilarity, encode_graph6, girth,
-                     graph_as_complex, grid_graph, h0_graph, h1_0, h1_1, h2_graph,
-                     hypercube_graph, matching_complex, matching_complex_of_edges,
-                     maximal_spacious_trees, min_vertex_cover_size, parse_graph6,
-                     path_graph, prism_graph, spacious_trees, theta, theta_profile,
-                     vertex_cover_bijection_check)
+                     delta_lower_bounds, dissimilarity, encode_graph6,
+                     first_differing_level, girth, graph_as_complex, grid_graph,
+                     h0_graph, h1_0, h1_1, h2_graph, hypercube_graph, matching_complex,
+                     matching_complex_of_edges, maximal_spacious_trees,
+                     min_vertex_cover_size, parse_graph6, path_graph, prism_graph,
+                     spacious_trees, theta, theta_classes, vertex_cover_bijection_check)
 from .morse import (DalmatianForm, MorseReport, dalmatian_closed_form,
                     elementary_decomposition, induced_subgraph, is_dalmatian,
                     iterated_dalmatian, verify_morse)

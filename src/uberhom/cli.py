@@ -17,16 +17,21 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from functools import partial
+from itertools import combinations
 from pathlib import Path
 
 from .coloured import (Colouring, GradedEulerPoly, diagonal_homology, filtered_homology,
                        graded_euler, horizontal_homology, horizontal_homology_with_bases)
 from .complexes import SimplicialComplex, format_complex, read_complex, vertices_of
 from .errors import CapExceeded, ParseError, UberhomError
-from .graphs import (SimpleGraph, dissimilarity, h0_graph, h1_0, h1_1, h2_graph,
-                     matching_complex, parse_graph6, theta)
+from .graphs import (Dissimilarity, SimpleGraph, first_differing_level, h0_graph, h1_0,
+                     h1_1, h2_graph, matching_complex, parse_graph6, theta,
+                     theta_classes)
 from .morse import (dalmatian_closed_form, elementary_decomposition, is_dalmatian,
                     verify_morse)
 from .planar import (parse_plane_graph, tait_colouring, tait_graph,
@@ -154,6 +159,17 @@ def _regrade_diagonal(blocks) -> dict:
     return {(i, i + 1 - k): block for (i, k), block in blocks.items()}
 
 
+@contextmanager
+def _mapper(jobs: int, items: int, chunksize: int):
+    """map, or a process pool's map when min(jobs, CPUs, items) exceeds 1."""
+    workers = min(jobs, os.cpu_count() or 1, items)
+    if workers <= 1:
+        yield map
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield partial(pool.map, chunksize=chunksize)
+
+
 # --- per-command handlers (each returns a JSON-ready dict) ---
 
 
@@ -185,11 +201,8 @@ def _run_bigraded(args, diagonal: bool) -> dict:
         if args.generators:
             raise ParseError("--generators needs a single colouring")
         work = [(X, eps.bits, m, diagonal) for eps in colourings]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_homology_worker, work, chunksize=64))
-        else:
-            results = [_homology_worker(w) for w in work]
+        with _mapper(args.jobs, len(work), chunksize=64) as mapper:
+            results = list(mapper(_homology_worker, work))
         report["colourings"] = {name: ranks for name, ranks in sorted(results)}
     return report
 
@@ -280,28 +293,30 @@ def cmd_theta(args) -> dict:
                            for sig, c in level.signature_counts]}
 
 
-def _dissim_worker(args):
-    i, j, G1, G2 = args
-    d = dissimilarity(G1, G2)
-    if d.infinite:
-        return (i, j, "inf", "", "")
-    level = "theta-equivalent" if d.theta_equivalent else str(d.first_differing_level)
-    return (i, j, str(d.value.numerator), str(d.value.denominator), level)
+def _dissim_fields(m: int | None, j: int | None) -> tuple[str, str, str]:
+    if m is None:  # the vertex counts differ
+        return ("inf", "", "")
+    d = Dissimilarity.at_level(m, j)
+    return (str(d.value.numerator), str(d.value.denominator),
+            "theta-equivalent" if j is None else str(j))
 
 
 def cmd_dissim(args) -> dict:
     names, digest = _load_corpus(args.input)
     graphs = [parse_graph6(name) for name in names]  # fails fast on a bad line
-    work = ((i, j, graphs[i], graphs[j])
-            for i in range(len(graphs)) for j in range(i + 1, len(graphs)))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_dissim_worker, work, chunksize=8))
-    else:
-        rows = [_dissim_worker(w) for w in work]
-    pairs = [{"name1": names[i], "name2": names[j], "delta_num": num,
-              "delta_den": den, "first_differing_level": level}
-             for i, j, num, den, level in rows]
+    with _mapper(args.jobs, len(graphs), chunksize=8) as mapper:
+        classes = theta_classes(graphs, mapper)
+    fields = {}  # (m, j) -> CSV fields, a handful per corpus
+    pairs = []
+    for a, b in combinations(range(len(graphs)), 2):
+        m = graphs[a].vertex_count
+        key = ((m, first_differing_level(classes[a], classes[b]))
+               if m == graphs[b].vertex_count else (None, None))
+        if key not in fields:
+            fields[key] = _dissim_fields(*key)
+        num, den, level = fields[key]
+        pairs.append({"name1": names[a], "name2": names[b], "delta_num": num,
+                      "delta_den": den, "first_differing_level": level})
     return {"input_sha256": digest, "graph_count": len(names), "pairs": pairs}
 
 
@@ -452,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("theta", "level-j colouring invariant of a graph", level=True)
     add("dissim", "pairwise dissimilarity CSV for a graph6 corpus",
         jobs=True, csv_default=True)
-    add("graph-hom", "closed-form graph homologies", which=True)
+    add("graph-hom", "graph homologies (h1_1 on the cube engine)", which=True)
     add("matching-complex", "matching complex of a graph6 graph")
     add("tait", "coloured overlay matching complex of a plane graph")
     add("verify-thm42", "check the overlay decomposition level by level")
@@ -462,6 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        parser.error("--jobs must be at least 1")
     try:
         report = HANDLERS[args.command](args)
         report["command"] = args.command

@@ -3,8 +3,8 @@
 Graphs are treated as 1-dimensional complexes for everything homological; the
 module adds the graph-only layers on top: the per-level Theta invariant (the
 multiset of nonzero horizontal ranks over all colourings with j black
-vertices), the dissimilarity measure built from it, matching complexes, and
-the four specialised graph homologies with their closed-form shortcuts.
+vertices), corpus dissimilarity by level-wise refinement, matching complexes,
+and the four graph homologies (h1_1 on the cube engine, the rest closed form).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, count
 
 from . import f2
 from .coloured import Colouring, horizontal_homology
@@ -313,11 +313,24 @@ def theta(G: SimpleGraph, j: int) -> ThetaLevel:
     return ThetaLevel(j, entries, tuple(sorted(counts.items(), reverse=True)))
 
 
-def theta_profile(G: SimpleGraph, max_level: int) -> tuple:
-    """entries of every Theta level up to max_level (clamped to the vertex
-    count); a cheap fingerprint for census work."""
-    top = min(max_level, G.vertex_count)
-    return tuple(theta(G, j).entries for j in range(top + 1))
+def theta_classes(graphs, mapper=map) -> list[list[int]]:
+    """Theta levels of a corpus as per-bucket class ids, by partition
+    refinement (Paige-Tarjan): level j is computed once for each graph whose
+    bucket (vertex count and ids below j) holds two or more, exactly when a
+    pairwise comparison would; mapper runs those theta calls in index order."""
+    keys = [[G.vertex_count] for G in graphs]  # then one class id per level
+    todo = range(len(graphs))
+    for j in count():
+        sizes = Counter(tuple(keys[i]) for i in todo)
+        todo = [i for i in todo
+                if sizes[tuple(keys[i])] > 1 and j <= graphs[i].vertex_count]
+        if not todo:
+            return [key[1:] for key in keys]
+        interned: dict[tuple, dict] = {}
+        levels = mapper(theta, [graphs[i] for i in todo], [j] * len(todo))
+        for i, level in zip(todo, levels):
+            ids = interned.setdefault(tuple(keys[i]), {})
+            keys[i].append(ids.setdefault(level.entries, len(ids)))
 
 
 @dataclass(frozen=True)
@@ -337,16 +350,24 @@ class Dissimilarity:
     def infinite(self) -> bool:
         return self.value is None
 
+    @classmethod
+    def at_level(cls, m: int, j: int | None) -> "Dissimilarity":
+        """m-vertex graphs first differing at level j, or never (None)."""
+        return (cls(Fraction(0), None, True) if j is None
+                else cls(Fraction(m - j, m), j, False))
+
+
+def first_differing_level(ids1, ids2) -> int | None:
+    """First index at which two lists of one theta_classes call differ."""
+    return next((j for j, (a, b) in enumerate(zip(ids1, ids2)) if a != b), None)
+
 
 def dissimilarity(G1: SimpleGraph, G2: SimpleGraph) -> Dissimilarity:
-    """Compare Theta levels lazily, stopping at the first difference."""
+    """Delta(G1, G2); theta_classes stops at the first differing level."""
     if G1.vertex_count != G2.vertex_count:
         return Dissimilarity(None, None, False)
-    m = G1.vertex_count
-    for j in range(m + 1):
-        if theta(G1, j).entries != theta(G2, j).entries:
-            return Dissimilarity(Fraction(m - j, m), j, False)
-    return Dissimilarity(Fraction(0), None, True)
+    j = first_differing_level(*theta_classes([G1, G2]))
+    return Dissimilarity.at_level(G1.vertex_count, j)
 
 
 def girth(G: SimpleGraph) -> int | None:
@@ -514,26 +535,32 @@ def h0_graph(G: SimpleGraph) -> dict[int, int]:
     return result
 
 
-def _uber_bidegree(G: SimpleGraph, bidegree: tuple[int, int]) -> dict[int, int]:
+def h1_0(G: SimpleGraph) -> dict[int, int]:
+    """Bidegree-(0, 1) cube homology, {0: number of dominating vertices}: the
+    tower is a direct sum over white vertices w of full cubes on V - N[w] (w
+    is a class while it has no black neighbour), acyclic unless N[w] = V."""
     if not G.is_connected:
         raise ComplexError("graph homologies need a connected graph")
-    ranks = uber_homology(graph_as_complex(G), bidegrees={bidegree})
-    return {j: r for (j, _, _), r in ranks.items()}
-
-
-def h1_0(G: SimpleGraph) -> dict[int, int]:
-    """Cube homology restricted to bidegree (0, 1), graded by level."""
-    return _uber_bidegree(G, (0, 1))
+    full = (1 << G.vertex_count) - 1
+    dominating = sum(1 for v, adj in enumerate(G.adjacency) if (adj | 1 << v) == full)
+    return {0: dominating} if dominating else {}
 
 
 def h1_1(G: SimpleGraph) -> dict[int, int]:
-    """Cube homology restricted to bidegree (1, 1), graded by level."""
-    return _uber_bidegree(G, (1, 1))
+    """Bidegree-(1, 1) cube homology, graded by level, from the cube engine."""
+    if not G.is_connected:
+        raise ComplexError("graph homologies need a connected graph")
+    ranks = uber_homology(graph_as_complex(G), bidegrees={(1, 1)})
+    return {j: r for (j, _, _), r in ranks.items()}
 
 
 def h2_graph(G: SimpleGraph) -> dict[int, int]:
-    """Cube homology restricted to bidegree (1, 2), graded by level."""
-    return _uber_bidegree(G, (1, 2))
+    """Bidegree-(1, 2) cube homology, {0: 1} for the single edge, else {}: the
+    tower is a direct sum over edges e of full cubes on V - e (e is a class
+    while both ends are white), acyclic unless e = V."""
+    if not G.is_connected:
+        raise ComplexError("graph homologies need a connected graph")
+    return {0: 1} if G.vertex_count == 2 else {}
 
 
 # ---------------------------------------------------------------------------

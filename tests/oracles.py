@@ -9,6 +9,9 @@ oracle and implementation is unlikely.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+
+from uberhom import graphs
 
 
 # ---------------------------------------------------------------------------
@@ -330,3 +333,23 @@ def is_tree(vertices: frozenset, edges) -> bool:
         return False
     comp = components(max(vertices) + 1, induced)
     return any(vertices <= c for c in comp)
+
+
+# ---------------------------------------------------------------------------
+# dissimilarity, pair by pair
+
+
+def naive_dissimilarity(G1, G2):
+    """(value, first differing level, theta-equivalent) of Delta(G1, G2),
+    comparing Theta levels of the pair from level 0 until they differ.
+
+    This is the corpus refinement's reference for its comparisons, not for
+    Theta itself (which tests check against naive_horizontal).  It calls
+    graphs.theta through the module, so a test can count its calls."""
+    if G1.vertex_count != G2.vertex_count:
+        return None, None, False
+    m = G1.vertex_count
+    for j in range(m + 1):
+        if graphs.theta(G1, j).entries != graphs.theta(G2, j).entries:
+            return Fraction(m - j, m), j, False
+    return Fraction(0), None, True

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import uberhom
-from uberhom import format_complex, matching_complex, parse_graph6, standard_complex
+from uberhom import cli, format_complex, matching_complex, parse_graph6, standard_complex
 from uberhom.cli import main
 
 TRIANGLE_PLANE = "v 0: 1 2\nv 1: 2 0\nv 2: 0 1\n"
@@ -229,20 +229,72 @@ def test_dissim_parallel_and_json(files, capsys):
 
 
 def test_disconnected_graph_contract(tmp_path, capsys):
-    """Theta levels 0 and 1 accept a disconnected graph; level 2 and dissim,
-    which reaches level 2 on two equal graphs, exit 2."""
+    """Theta levels 0 and 1 accept a disconnected graph; level 2 exits 2, and
+    so does dissim exactly when a disconnected graph shares levels 0 and 1
+    with another graph of the corpus."""
     graph = tmp_path / "two_edges.g6"
     graph.write_text("C`\n")  # edges 0-1 and 2-3
-    corpus = tmp_path / "pair.g6"
-    corpus.write_text("C`\nC`\n")
     report = run_json(capsys, ["theta", str(graph), "--level", "1"])
     assert report["level"] == 1
     code, _, err = run_text(capsys, ["theta", str(graph), "--level", "2"])
     assert code == 2
     assert "graph must be connected" in err
-    code, _, err = run_text(capsys, ["dissim", str(corpus)])
-    assert code == 2
-    assert "graph must be connected" in err
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("C`\nC~\n")  # K4 differs at level 0
+    code, out, _ = run_text(capsys, ["dissim", str(corpus)])
+    assert code == 0
+    assert out.splitlines()[1:] == ["C`,C~,1,1,0"]
+    for text in ("C`\nC`\n", "C`\nC`\nC~\n"):
+        corpus.write_text(text)
+        code, _, err = run_text(capsys, ["dissim", str(corpus)])
+        assert code == 2
+        assert "graph must be connected" in err
+
+
+def test_jobs_are_validated_and_clamped(files, capsys, monkeypatch):
+    """--jobs below 1 exits 2; a pool gets min(jobs, CPUs, work items)
+    workers, and none is started for one."""
+    for argv in (["dissim", files["corpus"]],
+                 ["horizontal", files["d2"], "--colouring", "all"]):
+        for jobs in ("0", "-2"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--jobs", jobs])
+            assert exc.value.code == 2
+            assert "--jobs must be at least 1" in capsys.readouterr().err
+    sizes = []
+
+    class RecordingPool:  # runs serially and records the pool size
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    cases = [  # (cpu_count, argv, jobs, workers or None)
+        (4, ["dissim", files["corpus"]], 2, 2),
+        (4, ["dissim", files["corpus"]], 8, 3),  # three graphs
+        (2, ["dissim", files["corpus"]], 8, 2),
+        (None, ["dissim", files["corpus"]], 8, None),
+        (4, ["dissim", files["k4"]], 2, None),
+        (4, ["horizontal", files["d2"], "--colouring", "all"], 6, 4),
+        (4, ["horizontal", files["d2"], "--colouring", "level:1"], 4, 3),
+        (4, ["horizontal", files["d2"], "--colouring", "all"], 1, None),
+    ]
+    for cpus, argv, jobs, workers in cases:
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        assert main(argv + ["--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--jobs", str(jobs)]) == 0
+        assert capsys.readouterr().out == serial
+        assert sizes == ([] if workers is None else [workers]), (cpus, argv, jobs)
 
 
 def test_graph_hom(files, capsys):

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uberhom import graphs as graphs_module
 from uberhom import (
     Colouring,
     ComplexError,
+    Dissimilarity,
     ParseError,
     SimpleGraph,
     closed_form_signature,
@@ -38,8 +40,9 @@ from uberhom import (
     path_graph,
     prism_graph,
     spacious_trees,
+    first_differing_level,
     theta,
-    theta_profile,
+    theta_classes,
     uber_homology,
     vertex_cover_bijection_check,
     vertices_of,
@@ -51,6 +54,7 @@ from oracles import (
     naive_girth,
     naive_graph_h0,
     naive_horizontal,
+    naive_dissimilarity,
     naive_min_cover,
 )
 
@@ -244,11 +248,6 @@ def test_theta_aggregated():
     assert dict(((j, i, k), r) for j, i, k, r in lvl.aggregated) == totals
 
 
-def test_theta_profile_clamps():
-    G = path_graph(2)
-    assert theta_profile(G, 99) == tuple(theta(G, j).entries for j in range(4))
-
-
 def test_dissimilarity_basics():
     G1, G2 = prism_graph(3), complete_bipartite_graph(3, 3)
     d = dissimilarity(G1, G2)
@@ -276,6 +275,61 @@ def test_dissimilarity_triangle_inequality_sample():
         dbc = dissimilarity(b, c).value
         dac = dissimilarity(a, c).value
         assert dac <= dab + dbc
+
+
+@st.composite
+def connected_graphs(draw):
+    """A connected graph on 1 to 7 vertices: a random tree plus random edges."""
+    n = draw(st.integers(1, 7))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = list(itertools.combinations(range(n), 2))
+    if pairs:
+        edges.update(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    return SimpleGraph.from_edges(n, edges)
+
+
+@st.composite
+def corpora(draw):
+    """Relabelled copies (the identity included, so duplicates too) of a few
+    connected graphs of mixed vertex counts, each a separate object."""
+    base = draw(st.lists(connected_graphs(), min_size=1, max_size=5))
+    picks = draw(st.lists(st.sampled_from(base), min_size=1, max_size=8))
+    return [G.permuted(draw(st.permutations(range(G.vertex_count)))) for G in picks]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(corpora())
+def test_theta_classes_match_pairwise_oracle(corpus):
+    real_theta = graphs_module.theta
+    calls: list = []
+
+    def counted(G, j):
+        calls.append((id(G), j))
+        return real_theta(G, j)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs_module, "theta", counted)
+        classes = theta_classes(corpus)
+        refined = list(calls)
+        calls.clear()
+        expected = {(a, b): naive_dissimilarity(corpus[a], corpus[b])
+                    for a, b in itertools.combinations(range(len(corpus)), 2)}
+    # each (graph, level) at most once, and exactly those the pairs compare
+    assert len(refined) == len(set(refined))
+    assert set(refined) == set(calls)
+    for G, ids in zip(corpus, classes):
+        assert len(ids) <= G.vertex_count + 1
+    for (a, b), (value, level, equivalent) in expected.items():
+        m1, m2 = corpus[a].vertex_count, corpus[b].vertex_count
+        want = Dissimilarity(value, level, equivalent)
+        if m1 == m2:
+            j = first_differing_level(classes[a], classes[b])
+            assert Dissimilarity.at_level(m1, j) == want
+            if equivalent:  # every level 0..m was compared
+                assert len(classes[a]) == len(classes[b]) == m1 + 1
+        else:
+            assert want.infinite
+        assert dissimilarity(corpus[a], corpus[b]) == want
 
 
 def test_delta_lower_bounds():
@@ -356,7 +410,8 @@ def test_h0_graph_against_oracle_and_cube():
 
 
 def test_specialised_homologies_are_cube_slices():
-    for G in [cycle_graph(4), BULL, complete_graph(4)]:
+    graphs = [SimpleGraph(1, ()), path_graph(1), cycle_graph(4), BULL, complete_graph(4)]
+    for G in graphs:
         X = graph_as_complex(G)
         full = uber_homology(X)
         assert h1_0(G) == {j: r for (j, i, k), r in full.items() if (i, k) == (0, 1)}
