@@ -4,6 +4,12 @@ The simplicial boundary of a coloured complex splits as the part removing a
 black vertex (weight-preserving, the horizontal differential) plus the part
 removing a white vertex (weight-dropping, the diagonal differential).  All
 homology here is over GF(2).
+
+The horizontal differential keeps a simplex's white part W, so its complex
+is the direct sum over W of the black chains of the link of W (reduced for
+nonempty W), shifted by |W|; the diagonal one splits over black parts alike.
+Ranks do not depend on basis order, so the rank-only routines eliminate one
+summand at a time, grouped straight from the unsorted simplex set.
 """
 
 from __future__ import annotations
@@ -139,14 +145,31 @@ def _chain_ranks(blocks: dict, down, droppable: int) -> dict:
     return result
 
 
+def _split_ranks(X: SimplicialComplex, eps: Colouring, kept: int, droppable: int,
+                 grade) -> dict:
+    """(i, k) ranks from summands keyed by (dimension, kept part), whose
+    weight is grade(dimension, kept part)."""
+    eps.check_length(X.vertex_count)
+    blocks: dict[tuple[int, int], list[int]] = {}
+    for s in X.simplices:
+        blocks.setdefault((s.bit_count() - 1, s & kept), []).append(s)
+    ranks: dict[tuple[int, int], int] = {}
+    for (d, part), h in _chain_ranks(blocks, lambda dp: (dp[0] - 1, dp[1]),
+                                     droppable).items():
+        key = (d, grade(d, part))
+        ranks[key] = ranks.get(key, 0) + h
+    return ranks
+
+
 def horizontal_homology(X: SimplicialComplex, eps: Colouring) -> dict:
     """Nonzero ranks of the horizontal homology, keyed by (i, k)."""
-    return _chain_ranks(_blocks(X, eps), lambda ik: (ik[0] - 1, ik[1]), eps.bits)
+    return _split_ranks(X, eps, ~eps.bits, eps.bits, lambda d, white: white.bit_count())
 
 
 def diagonal_homology(X: SimplicialComplex, eps: Colouring) -> dict:
     """Nonzero ranks of the diagonal homology, keyed by (i, k)."""
-    return _chain_ranks(_blocks(X, eps), lambda ik: (ik[0] - 1, ik[1] - 1), ~eps.bits)
+    return _split_ranks(X, eps, eps.bits, ~eps.bits,
+                        lambda d, black: d + 1 - black.bit_count())
 
 
 @dataclass(frozen=True)

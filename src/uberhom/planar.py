@@ -11,15 +11,17 @@ checks that decomposition rank by rank.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 from .coloured import Colouring, horizontal_homology, simplicial_homology
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, vertices_of
 from .errors import CapExceeded, ComplexError, ParseError
 from .graphs import SimpleGraph, matching_complex_of_edges
 
 Dart = tuple[int, int]
+MAX_OVERLAY_EDGES = 12  # the overlay matching complex grows exponentially
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,8 @@ class PlaneGraph:
     @cached_property
     def faces(self) -> tuple[tuple[Dart, ...], ...]:
         """Faces as dart cycles: the dart after (u, v) leaves v towards the
-        neighbour following u in the rotation at v."""
+        neighbour following u in the rotation at v.  A lone vertex has no
+        darts and one face."""
         succ: dict[Dart, Dart] = {}
         for v, rot in enumerate(self.rotations):
             deg = len(rot)
@@ -67,7 +70,7 @@ class PlaneGraph:
                 if dart == start:
                     break
             out.append(tuple(cycle))
-        return tuple(out)
+        return tuple(out) or ((),)
 
     @property
     def face_count(self) -> int:
@@ -223,7 +226,13 @@ def tait_colouring(T: TaitGraph) -> Colouring:
 
 
 def tait_matching_complex(T: TaitGraph) -> tuple[SimplicialComplex, Colouring]:
-    """Matching complex of the overlay together with its half-edge colouring."""
+    """Matching complex of the overlay together with its half-edge colouring;
+    raises before building it for no edge or over MAX_OVERLAY_EDGES edges."""
+    if not T.crossings:
+        raise ComplexError("overlay needs at least one edge")
+    if T.crossing_count > MAX_OVERLAY_EDGES:
+        raise CapExceeded(f"overlay is limited to {MAX_OVERLAY_EDGES} edges, "
+                          f"got {T.crossing_count}")
     M = matching_complex_of_edges(list(T.overlay_edges))
     return M, tait_colouring(T)
 
@@ -242,50 +251,39 @@ def theorem42_verify(P: PlaneGraph) -> dict:
     homology of the matching complex of the primal half-edges; level k > 0
     sums, over every matching of k dual half-edges, the reduced homology
     (shifted up by k) of the matching complex of the primal half-edges that
-    survive deleting the crossed-out edges.
+    survive deleting the crossed-out edges.  Those survivors depend only on
+    the set of crossings the matching uses, so each set's reduced homology
+    is computed once and counted once per white matching using it.
     """
-    if P.graph.edge_count > 12:
-        raise CapExceeded("overlay verification is limited to 12 edges")
     T = tait_graph(P)
     M, eps = tait_matching_complex(T)
-    lhs_flat = horizontal_homology(M, eps)
     lhs: dict[int, dict[int, int]] = {}
-    for (d, k), r in lhs_flat.items():
+    for (d, k), r in horizontal_homology(M, eps).items():
         lhs.setdefault(k, {})[d] = r
 
     black = T.black_edges()
     white = T.white_edges()
 
-    rhs: dict[int, dict[int, int]] = {}
     base = simplicial_homology(matching_complex_of_edges(black))
-    if base:
-        rhs[0] = dict(base)
-    white_matchings = matching_complex_of_edges(white).simplices
-    for mask in white_matchings:
-        k = mask.bit_count()
-        removed = set()
-        rest = mask
-        while rest:
-            idx = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            removed.add(white[idx][0])
+    rhs: dict[int, dict[int, int]] = {0: base}
+    # a matching uses each crossing at most once, so k = len(removed)
+    uses = Counter(frozenset(white[idx][0] for idx in vertices_of(mask))
+                   for mask in matching_complex_of_edges(white).simplices)
+    for removed, count in uses.items():
+        k = len(removed)
         survivors = [be for be in black if be[0] not in removed]
+        level = rhs.setdefault(k, {})
         for dim, r in _reduced_matching_homology(survivors).items():
-            level = rhs.setdefault(k, {})
-            level[dim + k] = level.get(dim + k, 0) + r
+            level[dim + k] = level.get(dim + k, 0) + count * r
     rhs = {k: v for k, v in rhs.items() if v}
 
     levels = {}
-    all_equal = True
     for k in sorted(set(lhs) | set(rhs)):
-        left = lhs.get(k, {})
-        right = rhs.get(k, {})
-        equal = left == right
-        all_equal = all_equal and equal
-        levels[k] = {"lhs": left, "rhs": right, "equal": equal}
+        left, right = lhs.get(k, {}), rhs.get(k, {})
+        levels[k] = {"lhs": left, "rhs": right, "equal": left == right}
     return {
         "partition": T.partition_sizes,
         "levels": levels,
-        "all_equal": all_equal,
-        "level0_matches_subdivision": lhs.get(0, {}) == dict(base),
+        "all_equal": all(level["equal"] for level in levels.values()),
+        "level0_matches_subdivision": lhs.get(0, {}) == base,
     }

@@ -14,8 +14,11 @@ from pathlib import Path
 import pytest
 
 import uberhom
-from uberhom import cli, format_complex, matching_complex, parse_graph6, standard_complex
+from uberhom import (cli, format_complex, format_plane_graph, matching_complex,
+                     parse_graph6, planar, standard_complex)
 from uberhom.cli import main
+
+from conftest import plane_fixtures
 
 TRIANGLE_PLANE = "v 0: 1 2\nv 1: 2 0\nv 2: 0 1\n"
 
@@ -331,6 +334,48 @@ def test_verify_thm42(files, capsys):
     assert report["levels"]["00"]["lhs"] == {"00": 1, "01": 2}
     assert report["levels"]["00"]["equal"] is True
     assert report["levels"]["02"]["lhs"] == {"02": 6}
+
+
+# stdout SHA-256 of the overlay commands; the overlay ranks may be computed
+# in any order, but these bytes must not change
+OVERLAY_DIGESTS = {
+    ("square", "tait"):
+        "62cbfbb865eec83668da89d7e2a0a85cd98c1c2776cae3178ad0f1c11240063b",
+    ("square", "verify-thm42"):
+        "3e94feb21f0bf5cb146f5b70e606e1706bb7c37dc5b005dfad4148af3357abde",
+    ("wheel4", "tait"):
+        "88fae90f87c531ff66c20caa1ccdf1c180c96967a68901818ee8cf47e8d6625c",
+    ("wheel4", "verify-thm42"):
+        "84b435da4ef736ed49db20c5b0091a091e736e4c2b7d9f381391fcfc281bd40c",
+}
+
+
+def test_overlay_golden(tmp_path, capsys):
+    planes = plane_fixtures()
+    for (name, command), digest in OVERLAY_DIGESTS.items():
+        path = tmp_path / f"{name}.plane"
+        path.write_text(format_plane_graph(planes[name]))
+        code, out, err = run_text(capsys, [command, str(path)])
+        assert code == 0 and not err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, command)
+
+
+def test_overlay_input_contract(tmp_path, capsys, monkeypatch):
+    def unreachable(edges):
+        raise AssertionError("matching complex built for a rejected overlay")
+
+    monkeypatch.setattr(planar, "matching_complex_of_edges", unreachable)
+    k1 = tmp_path / "k1.plane"
+    k1.write_text("v 0:\n")
+    wheel9 = tmp_path / "wheel9.plane"
+    wheel9.write_text(format_plane_graph(plane_fixtures()["wheel9"]))  # 18 edges
+    for command in ("tait", "verify-thm42"):
+        code, out, err = run_text(capsys, [command, str(k1)])
+        assert (code, out) == (2, "")
+        assert err == "uberhom: overlay needs at least one edge\n"
+        code, out, err = run_text(capsys, [command, str(wheel9)])
+        assert (code, out) == (4, "")
+        assert err == "uberhom: overlay is limited to 12 edges, got 18\n"
 
 
 def test_table_and_csv_formats(files, capsys):

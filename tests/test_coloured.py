@@ -121,10 +121,10 @@ def test_boundaries_square_to_zero(suite):
 
 
 @st.composite
-def coloured_complexes(draw):
-    """A complex on at most 5 vertices, from up to 6 random facets, and a
-    colouring of it."""
-    m = draw(st.integers(1, 5))
+def coloured_complexes(draw, max_vertices=5):
+    """A complex on at most max_vertices vertices, from up to 6 random
+    facets, and a colouring of it."""
+    m = draw(st.integers(1, max_vertices))
     facets = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1),
                            min_size=1, max_size=6))
     X = from_facets(m, facets)
@@ -142,6 +142,44 @@ def test_homology_matches_oracles_on_random_complexes(case):
     for reduced in (False, True):
         assert simplicial_homology(X, reduced=reduced) == \
             naive_simplicial_homology(facets, reduced=reduced)
+
+
+def summand_ranks(X, kept) -> dict[tuple[int, int], int]:
+    """Oracle ranks of the direct sum, over kept parts P, of the complexes
+    {Q disjoint from kept : P | Q in X}: unreduced for P empty, reduced
+    otherwise (the void one has rank 1 in degree -1).  Keyed by
+    (|P| + degree, |P|)."""
+    kept = frozenset(kept)
+    simplices = [frozenset(vertices_of(s)) for s in X.simplices]
+    out: dict[tuple[int, int], int] = {}
+    for part in {s & kept for s in simplices} | {frozenset()}:
+        faces = [s - part for s in simplices if s & kept == part and s != part]
+        if not part:
+            hom = naive_simplicial_homology(faces)
+        else:
+            hom = naive_simplicial_homology(faces, reduced=True) if faces else {-1: 1}
+        for degree, r in hom.items():
+            key = (degree + len(part), len(part))
+            out[key] = out.get(key, 0) + r
+    return out
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(coloured_complexes(max_vertices=6))
+def test_homology_splits_over_fixed_parts(case):
+    """Horizontal homology is the direct sum over white faces W of the
+    reduced homology of the black link of W shifted by |W|, plus the black
+    subcomplex at weight 0; diagonal homology splits over black faces."""
+    X, eps = case
+    black = set(eps.black_vertices())
+    white = set(range(X.vertex_count)) - black
+    hh = horizontal_homology(X, eps)
+    black_faces = [vertices_of(s) for s in X.simplices if not s & ~eps.bits]
+    assert {i: r for (i, k), r in hh.items() if k == 0} == \
+        naive_simplicial_homology(black_faces)
+    assert hh == summand_ranks(X, white)
+    assert diagonal_homology(X, eps) == \
+        {(i, i + 1 - b): r for (i, b), r in summand_ranks(X, black).items()}
 
 
 def test_horizontal_diagonal_duality(suite):

@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 
+from uberhom import planar
 from uberhom import (
     CapExceeded,
     Colouring,
@@ -23,6 +24,7 @@ from uberhom import (
 )
 
 from conftest import rotations_from_coordinates
+from oracles import all_matchings
 
 SMALL = ["triangle", "square", "path2", "star3", "diamond"]
 SIMPLE_DUALS = ["prism", "cube", "octahedron"] + [f"wheel{k}" for k in range(3, 10)]
@@ -73,6 +75,20 @@ def test_plane_graph_validation():
     disconnected = SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(ComplexError):
         PlaneGraph(disconnected, ((1,), (0,), (3,), (2,)))
+
+
+def test_single_vertex_plane_graph():
+    """K1 has no darts and one face, so it passes the Euler check; it is
+    its own dual, and its overlay has no edge to build on."""
+    P = parse_plane_graph("v 0:\n")
+    assert P.faces == ((),) and P.face_count == 1
+    assert parse_plane_graph(format_plane_graph(P)) == P
+    assert dual_graph(P) == P
+    T = tait_graph(P)
+    assert T.partition_sizes == (1, 1, 0)
+    for build in (lambda: tait_matching_complex(T), lambda: theorem42_verify(P)):
+        with pytest.raises(ComplexError, match="overlay needs at least one edge"):
+            build()
 
 
 def test_edge_sides_and_bridges(planes):
@@ -210,6 +226,35 @@ def test_theorem42_frozen_triangle(planes):
     assert report["levels"][2]["lhs"] == {2: 6}
 
 
-def test_theorem42_cap(planes):
+def test_theorem42_cap(planes, monkeypatch):
+    def unreachable(edges):
+        raise AssertionError("matching complex built past the cap")
+
+    monkeypatch.setattr(planar, "matching_complex_of_edges", unreachable)
+    T = tait_graph(planes["wheel9"])  # 18 primal edges
+    assert T.crossing_count > planar.MAX_OVERLAY_EDGES
     with pytest.raises(CapExceeded):
-        theorem42_verify(planes["wheel9"])  # 18 primal edges
+        tait_matching_complex(T)
+    with pytest.raises(CapExceeded):
+        theorem42_verify(planes["wheel9"])
+
+
+def test_theorem42_survivor_homology_once_per_crossing_set(planes, monkeypatch):
+    """The right-hand side computes one reduced homology per distinct set of
+    crossings used by a white matching, not one per matching."""
+    original = planar._reduced_matching_homology
+    for name in ("square", "diamond", "star3", "wheel4"):
+        calls = []
+
+        def counting(edge_list):
+            calls.append(tuple(edge_list))
+            return original(edge_list)
+
+        monkeypatch.setattr(planar, "_reduced_matching_homology", counting)
+        report = theorem42_verify(planes[name])
+        assert report["all_equal"], name
+        white = tait_graph(planes[name]).white_edges()
+        matchings = [m for m in all_matchings(white) if m]
+        crossing_sets = {frozenset(white[i][0] for i in m) for m in matchings}
+        assert len(calls) == len(crossing_sets) < len(matchings), name
+        assert len(set(calls)) == len(calls), name
