@@ -20,8 +20,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -159,17 +157,6 @@ def _regrade_diagonal(blocks) -> dict:
     return {(i, i + 1 - k): block for (i, k), block in blocks.items()}
 
 
-@contextmanager
-def _mapper(jobs: int, items: int, chunksize: int):
-    """map, or a process pool's map when min(jobs, CPUs, items) exceeds 1."""
-    workers = min(jobs, os.cpu_count() or 1, items)
-    if workers <= 1:
-        yield map
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield partial(pool.map, chunksize=chunksize)
-
-
 # --- per-command handlers (each returns a JSON-ready dict) ---
 
 
@@ -201,8 +188,12 @@ def _run_bigraded(args, diagonal: bool) -> dict:
         if args.generators:
             raise ParseError("--generators needs a single colouring")
         work = [(X, eps.bits, m, diagonal) for eps in colourings]
-        with _mapper(args.jobs, len(work), chunksize=64) as mapper:
-            results = list(mapper(_homology_worker, work))
+        workers = min(args.jobs, os.cpu_count() or 1, len(work))
+        if workers <= 1:
+            results = list(map(_homology_worker, work))
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_homology_worker, work, chunksize=64))
         report["colourings"] = {name: ranks for name, ranks in sorted(results)}
     return report
 
@@ -304,8 +295,7 @@ def _dissim_fields(m: int | None, j: int | None) -> tuple[str, str, str]:
 def cmd_dissim(args) -> dict:
     names, digest = _load_corpus(args.input)
     graphs = [parse_graph6(name) for name in names]  # fails fast on a bad line
-    with _mapper(args.jobs, len(graphs), chunksize=8) as mapper:
-        classes = theta_classes(graphs, mapper)
+    classes = theta_classes(graphs)
     fields = {}  # (m, j) -> CSV fields, a handful per corpus
     pairs = []
     for a, b in combinations(range(len(graphs)), 2):
@@ -467,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("theta", "level-j colouring invariant of a graph", level=True)
     add("dissim", "pairwise dissimilarity CSV for a graph6 corpus",
         jobs=True, csv_default=True)
-    add("graph-hom", "graph homologies (h1_1 on the cube engine)", which=True)
+    add("graph-hom", "graph homologies (h0 from black components, the rest "
+        "in closed form)", which=True)
     add("matching-complex", "matching complex of a graph6 graph")
     add("tait", "coloured overlay matching complex of a plane graph")
     add("verify-thm42", "check the overlay decomposition level by level")

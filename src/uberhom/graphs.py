@@ -4,7 +4,7 @@ Graphs are treated as 1-dimensional complexes for everything homological; the
 module adds the graph-only layers on top: the per-level Theta invariant (the
 multiset of nonzero horizontal ranks over all colourings with j black
 vertices), corpus dissimilarity by level-wise refinement, matching complexes,
-and the four graph homologies (h1_1 on the cube engine, the rest closed form).
+and the four graph homologies (h0 from black components, the rest closed form).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from . import f2
 from .coloured import Colouring, horizontal_homology
 from .complexes import MAX_VERTICES, SimplicialComplex, vertices_of
 from .errors import ComplexError, ParseError
-from .uber import level_masks, uber_homology
+from .uber import level_masks
 
 
 @dataclass(frozen=True)
@@ -313,11 +313,11 @@ def theta(G: SimpleGraph, j: int) -> ThetaLevel:
     return ThetaLevel(j, entries, tuple(sorted(counts.items(), reverse=True)))
 
 
-def theta_classes(graphs, mapper=map) -> list[list[int]]:
+def theta_classes(graphs) -> list[list[int]]:
     """Theta levels of a corpus as per-bucket class ids, by partition
     refinement (Paige-Tarjan): level j is computed once for each graph whose
     bucket (vertex count and ids below j) holds two or more, exactly when a
-    pairwise comparison would; mapper runs those theta calls in index order."""
+    pairwise comparison would."""
     keys = [[G.vertex_count] for G in graphs]  # then one class id per level
     todo = range(len(graphs))
     for j in count():
@@ -327,10 +327,9 @@ def theta_classes(graphs, mapper=map) -> list[list[int]]:
         if not todo:
             return [key[1:] for key in keys]
         interned: dict[tuple, dict] = {}
-        levels = mapper(theta, [graphs[i] for i in todo], [j] * len(todo))
-        for i, level in zip(todo, levels):
+        for i in todo:
             ids = interned.setdefault(tuple(keys[i]), {})
-            keys[i].append(ids.setdefault(level.entries, len(ids)))
+            keys[i].append(ids.setdefault(theta(graphs[i], j).entries, len(ids)))
 
 
 @dataclass(frozen=True)
@@ -547,11 +546,15 @@ def h1_0(G: SimpleGraph) -> dict[int, int]:
 
 
 def h1_1(G: SimpleGraph) -> dict[int, int]:
-    """Bidegree-(1, 1) cube homology, graded by level, from the cube engine."""
-    if not G.is_connected:
-        raise ComplexError("graph homologies need a connected graph")
-    ranks = uber_homology(graph_as_complex(G), bidegrees={(1, 1)})
-    return {j: r for (j, _, _), r in ranks.items()}
+    """Bidegree-(1, 1) cube homology, {2: number of dominating vertices} for
+    m >= 3, else {}: the tower is a direct sum over white vertices w of
+    H~_0(black neighbours of w), a full cube on V - N[w] tensored with the
+    rest, so acyclic unless N[w] = V.  Then it is the kernel of the
+    augmentation from the sum over b of the cubes of sets containing b
+    (acyclic once m - 1 >= 2) onto the cube of nonempty sets (one class, at
+    level 1), so it has one class, at level 2."""
+    dominating = h1_0(G).get(0, 0)
+    return {2: dominating} if dominating and G.vertex_count >= 3 else {}
 
 
 def h2_graph(G: SimpleGraph) -> dict[int, int]:

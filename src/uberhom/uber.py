@@ -4,16 +4,18 @@ For a fixed bidegree (i, k) the horizontal homology groups of all 2^m
 colourings of X form a cochain complex shaped like a hypercube: level j
 collects the colourings with j black vertices, and each cube edge flips one
 vertex from white to black.  The edge map deletes every simplex containing
-the flipped vertex; it is a chain map, so it descends to homology classes.
-Levels are reduced in a streaming fashion (only two adjacent levels are ever
-held); a closed form for the bottom of the cube and a two-level shortcut
-for its top are provided alongside the full computation.
+the flipped vertex.  The flipped vertex is white, so the horizontal boundary
+never drops it and the deletion is a chain map; on a cycle it is a
+projection onto the target block's basis, read off basis positions.  A
+level is {colouring mask: blocks}, laid out once as a direct sum per
+bidegree.  Levels are reduced in a streaming fashion (only two adjacent
+levels are ever held); a closed form for the bottom of the cube and a
+two-level shortcut for its top are provided alongside the full computation.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import f2
@@ -51,70 +53,35 @@ def _check_cap(X: SimplicialComplex, cap: int | None):
             f"(override with --cap or {CAP_ENV_VAR})")
 
 
-def d_eta_chain(chain, v: int) -> frozenset[int]:
-    """Delete from a chain every simplex containing vertex v."""
-    bit = 1 << v
-    return frozenset(s for s in chain if not s & bit)
+_ZERO_BLOCK = BlockHomology((), f2.homology_at([], [], 0))  # a missing target block
 
 
-def horizontal_boundary(chain, black_bits: int) -> frozenset[int]:
-    """Mod-2 horizontal boundary of a set of simplices: drop one black vertex
-    at a time, discarding empty faces."""
-    out: set[int] = set()
-    for s in chain:
-        rest = s & black_bits
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            face = s ^ bit
-            if face:
-                out.symmetric_difference_update((face,))
-    return frozenset(out)
-
-
-def d_eta_matrix(source_eps: Colouring, source_block: BlockHomology,
-                 target_eps: Colouring, target_block: BlockHomology | None,
+def d_eta_matrix(source_block: BlockHomology, target_block: BlockHomology | None,
                  v: int) -> f2.BitMatrix:
-    """Matrix of one cube-edge map at one bidegree.
+    """Matrix of the cube-edge map blackening the white vertex v at one
+    bidegree; a missing target block is the zero group.
 
-    Column c is the image of the c-th source representative: delete every
-    simplex containing v, then read off coordinates in the target homology
-    basis.  The chain-map law (boundary of the deletion equals deletion of
-    the boundary) is asserted for every representative; a violation means an
-    engine bug, never bad user input.
+    Column c is the class of the basis simplices without v that the c-th
+    representative keeps, placed at their target basis positions.  The
+    source boundary never drops the white v, so deletion commutes with it;
+    a kept simplex outside the target block or a kept chain that is not a
+    target cycle is an engine bug and raises AssertionError.
     """
-    if target_eps.bits != source_eps.bits | (1 << v) or source_eps.is_black(v):
-        raise ValueError("target colouring must blacken exactly the one new vertex")
+    target = target_block if target_block is not None else _ZERO_BLOCK
+    index = {mask: p for p, mask in enumerate(target.basis)}
+    bit = 1 << v
     basis = source_block.basis
-    index = ({mask: p for p, mask in enumerate(target_block.basis)}
-             if target_block is not None else {})
     columns = []
-    for rep in source_block.hom.representatives:
-        chain = [basis[p] for p in vertices_of(rep)]
-        kept = d_eta_chain(chain, v)
-        lhs = horizontal_boundary(kept, target_eps.bits)
-        rhs = d_eta_chain(horizontal_boundary(chain, source_eps.bits), v)
-        if lhs != rhs:
-            raise AssertionError("cube edge map failed the chain-map law")
-        if target_block is None:
-            if kept:
-                raise AssertionError("image chain fell outside an empty target block")
-            columns.append(0)
-            continue
-        vec = 0
-        for mask in kept:
-            vec |= 1 << index[mask]
-        columns.append(target_block.hom.coordinates(vec))
-    rows = target_block.hom.rank if target_block is not None else 0
-    return f2.BitMatrix(rows, len(columns), tuple(columns))
-
-
-@dataclass(frozen=True)
-class LevelSummand:
-    """Horizontal homology of one colouring inside a cube level."""
-
-    eps: Colouring
-    blocks: dict
+    try:
+        for rep in source_block.hom.representatives:
+            vec = 0
+            for p in vertices_of(rep):
+                if not basis[p] & bit:
+                    vec |= 1 << index[basis[p]]
+            columns.append(target.hom.coordinates(vec))
+    except (KeyError, ValueError):
+        raise AssertionError("cube edge map failed the chain-map law") from None
+    return f2.BitMatrix(target.hom.rank, len(columns), tuple(columns))
 
 
 def level_masks(m: int, j: int) -> list[int]:
@@ -122,56 +89,46 @@ def level_masks(m: int, j: int) -> list[int]:
     return sorted(sum(1 << v for v in combo) for combo in combinations(range(m), j))
 
 
-def _level(X: SimplicialComplex, j: int) -> list[LevelSummand]:
-    out = []
-    for mask in level_masks(X.vertex_count, j):
-        eps = Colouring(mask, X.vertex_count)
-        out.append(LevelSummand(eps, horizontal_homology_with_bases(X, eps)))
-    return out
+def _level(X: SimplicialComplex, j: int) -> dict:
+    """{colouring mask: per-bidegree blocks} over the colourings of weight j."""
+    m = X.vertex_count
+    return {mask: horizontal_homology_with_bases(X, Colouring(mask, m))
+            for mask in level_masks(m, j)}
 
 
-def _wanted(bigrading, bidegrees) -> bool:
-    return bidegrees is None or bigrading in bidegrees
-
-
-def _level_dims(level, bidegrees) -> dict:
-    dims: dict = {}
-    for summand in level:
-        for bg, blk in summand.blocks.items():
-            if blk.hom.rank and _wanted(bg, bidegrees):
-                dims[bg] = dims.get(bg, 0) + blk.hom.rank
-    return dims
-
-
-def _level_matrix_ranks(X: SimplicialComplex, cur, nxt, bidegrees) -> dict:
-    """Rank, per bidegree, of the full differential from level cur to nxt."""
-    by_bits = {s.eps.bits: s for s in nxt}
+def _layout(level: dict, bidegrees) -> tuple[dict, dict]:
+    """Direct-sum layout of a level: {bidegree: {mask: offset}} and
+    {bidegree: dimension}, over the wanted bidegrees of nonzero rank."""
     offsets: dict = {}
-    totals: dict = {}
-    for summand in nxt:
-        for bg, blk in summand.blocks.items():
-            if blk.hom.rank and _wanted(bg, bidegrees):
-                offsets.setdefault(bg, {})[summand.eps.bits] = totals.get(bg, 0)
-                totals[bg] = totals.get(bg, 0) + blk.hom.rank
-    columns: dict = {}
-    for summand in cur:
-        for bg, blk in summand.blocks.items():
-            if not blk.hom.rank or not _wanted(bg, bidegrees):
-                continue
+    dims: dict = {}
+    for mask, blocks in level.items():
+        for bg, blk in blocks.items():
+            if blk.hom.rank and (bidegrees is None or bg in bidegrees):
+                offsets.setdefault(bg, {})[mask] = dims.get(bg, 0)
+                dims[bg] = dims.get(bg, 0) + blk.hom.rank
+    return offsets, dims
+
+
+def _differential_ranks(m: int, cur: dict, cur_offsets: dict, nxt: dict,
+                        nxt_offsets: dict) -> dict:
+    """Rank, per bidegree, of the cube differential from level cur to nxt."""
+    ranks = {}
+    for bg, sources in cur_offsets.items():
+        targets = nxt_offsets.get(bg, {})
+        columns = []
+        for mask in sources:
+            blk = cur[mask][bg]
             cols = [0] * blk.hom.rank
-            for v in range(X.vertex_count):
-                if summand.eps.is_black(v):
-                    continue
-                target = by_bits[summand.eps.bits | (1 << v)]
-                mat = d_eta_matrix(summand.eps, blk, target.eps,
-                                   target.blocks.get(bg), v)
-                if mat.rows == 0:
-                    continue
-                shift = offsets[bg][target.eps.bits]
-                for c, col in enumerate(mat.columns):
-                    cols[c] ^= col << shift
-            columns.setdefault(bg, []).extend(cols)
-    return {bg: f2.rank_of(cols) for bg, cols in columns.items()}
+            for v in vertices_of(~mask & ((1 << m) - 1)):
+                t = mask | 1 << v
+                mat = d_eta_matrix(blk, nxt[t].get(bg), v)
+                if mat.rows:
+                    shift = targets[t]
+                    for c, col in enumerate(mat.columns):
+                        cols[c] ^= col << shift
+            columns.extend(cols)
+        ranks[bg] = f2.rank_of(columns)
+    return ranks
 
 
 def uber_homology(X: SimplicialComplex, cap: int | None = None,
@@ -188,18 +145,19 @@ def uber_homology(X: SimplicialComplex, cap: int | None = None,
     result: dict = {}
     prev_rank: dict = {}
     cur = _level(X, 0)
+    cur_offsets, cur_dims = _layout(cur, bidegrees)
     for j in range(m + 1):
-        nxt = _level(X, j + 1) if j < m else []
-        dims = _level_dims(cur, bidegrees)
-        cur_rank = _level_matrix_ranks(X, cur, nxt, bidegrees) if j < m else {}
-        for bg, dim in dims.items():
-            r = dim - cur_rank.get(bg, 0) - prev_rank.get(bg, 0)
+        nxt = _level(X, j + 1) if j < m else {}
+        nxt_offsets, nxt_dims = _layout(nxt, bidegrees)
+        rank = _differential_ranks(m, cur, cur_offsets, nxt, nxt_offsets)
+        for bg, dim in cur_dims.items():
+            r = dim - rank.get(bg, 0) - prev_rank.get(bg, 0)
             if r < 0:
                 raise AssertionError("cube differential ranks exceed the level dimension")
             if r:
                 result[(j, bg[0], bg[1])] = r
-        prev_rank = cur_rank
-        cur = nxt
+        prev_rank = rank
+        cur, cur_offsets, cur_dims = nxt, nxt_offsets, nxt_dims
     return result
 
 
@@ -227,14 +185,11 @@ def uber_top_level(X: SimplicialComplex) -> dict:
     if X.is_void:
         return {}
     m = X.vertex_count
-    top = _level(X, m)
-    ranks = _level_matrix_ranks(X, _level(X, m - 1), top, None)
-    out = {}
-    for bg, dim in _level_dims(top, None).items():
-        r = dim - ranks.get(bg, 0)
-        if r:
-            out[bg] = r
-    return out
+    below, top = _level(X, m - 1), _level(X, m)
+    top_offsets, top_dims = _layout(top, None)
+    ranks = _differential_ranks(m, below, _layout(below, None)[0], top, top_offsets)
+    return {bg: dim - ranks.get(bg, 0) for bg, dim in top_dims.items()
+            if dim > ranks.get(bg, 0)}
 
 
 def uber_topdegree_check(X: SimplicialComplex) -> dict:

@@ -176,6 +176,23 @@ def check_split_boundaries(simplices, black):
             raise AssertionError("differentials do not anticommute")
 
 
+def d_eta_chain(chain, v) -> frozenset:
+    """Cube edge map on a chain of vertex frozensets: delete every simplex
+    containing v."""
+    return frozenset(s for s in chain if v not in s)
+
+
+def horizontal_boundary(chain, black) -> frozenset:
+    """Mod-2 horizontal boundary of a chain of vertex frozensets: drop one
+    black vertex at a time, discarding empty faces."""
+    out: set = set()
+    for s in chain:
+        for v in s & frozenset(black):
+            if len(s) > 1:
+                out ^= {s - {v}}
+    return frozenset(out)
+
+
 # ---------------------------------------------------------------------------
 # graphs as (n, edge set)
 

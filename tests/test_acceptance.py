@@ -354,11 +354,14 @@ def test_criterion_14():
     for m in (2, 3):
         for n in (2, 3):
             assert h0_graph(complete_bipartite_graph(m, n)) == {2: 1}
-    # the closed forms of the (0, 1) and (1, 2) towers against the cube engine
+    # the closed forms of the (0, 1), (1, 1) and (1, 2) towers against the
+    # cube engine
     for G in connected_atlas():
         if G.vertex_count >= 3:
-            ranks = uber_homology(graph_as_complex(G), bidegrees={(0, 1), (1, 2)})
-            for bidegree, closed_form in (((0, 1), h1_0(G)), ((1, 2), h2_graph(G))):
+            ranks = uber_homology(graph_as_complex(G),
+                                  bidegrees={(0, 1), (1, 1), (1, 2)})
+            for bidegree, closed_form in (((0, 1), h1_0(G)), ((1, 1), h1_1(G)),
+                                          ((1, 2), h2_graph(G))):
                 tower = {j: r for (j, i, k), r in ranks.items() if (i, k) == bidegree}
                 assert tower == closed_form
             assert h2_graph(G) == {}

@@ -255,8 +255,9 @@ def test_disconnected_graph_contract(tmp_path, capsys):
 
 
 def test_jobs_are_validated_and_clamped(files, capsys, monkeypatch):
-    """--jobs below 1 exits 2; a pool gets min(jobs, CPUs, work items)
-    workers, and none is started for one."""
+    """--jobs below 1 exits 2; a horizontal sweep's pool gets min(jobs,
+    CPUs, work items) workers, and none is started for one; dissim accepts
+    --jobs but never starts a pool."""
     for argv in (["dissim", files["corpus"]],
                  ["horizontal", files["d2"], "--colouring", "all"]):
         for jobs in ("0", "-2"):
@@ -281,9 +282,9 @@ def test_jobs_are_validated_and_clamped(files, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     cases = [  # (cpu_count, argv, jobs, workers or None)
-        (4, ["dissim", files["corpus"]], 2, 2),
-        (4, ["dissim", files["corpus"]], 8, 3),  # three graphs
-        (2, ["dissim", files["corpus"]], 8, 2),
+        (4, ["dissim", files["corpus"]], 2, None),
+        (4, ["dissim", files["corpus"]], 8, None),
+        (2, ["dissim", files["corpus"]], 8, None),
         (None, ["dissim", files["corpus"]], 8, None),
         (4, ["dissim", files["k4"]], 2, None),
         (4, ["horizontal", files["d2"], "--colouring", "all"], 6, 4),

@@ -1,8 +1,14 @@
 """Unit tests for the colour-cube homology."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uberhom import (
     CapExceeded,
@@ -28,9 +34,14 @@ from uberhom import (
     vertices_of,
     SimpleGraph,
 )
-from uberhom.uber import d_eta_chain, horizontal_boundary, level_masks
+from uberhom import f2
+from uberhom.coloured import BlockHomology, horizontal_homology_with_bases
+from uberhom.uber import d_eta_matrix, level_masks
 
+import oracles
 from oracles import naive_graph_h0
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small(suite, limit=5):
@@ -59,21 +70,95 @@ def test_cap_enforced(monkeypatch):
     assert uber_homology(X, cap=10)  # override unblocks
 
 
-def test_d_eta_chain():
-    chain = {0b011, 0b100, 0b110}
-    assert d_eta_chain(chain, 1) == frozenset({0b100})
-    assert d_eta_chain(chain, 0) == frozenset({0b100, 0b110})
-    assert d_eta_chain(frozenset(), 3) == frozenset()
+def frozen(mask) -> frozenset:
+    return frozenset(vertices_of(mask))
 
 
-def test_horizontal_boundary_squares_to_zero():
-    rng = random.Random(47)
-    for _ in range(80):
-        m = rng.randrange(2, 7)
-        black = rng.randrange(1 << m)
-        chain = {rng.randrange(1, 1 << m) for _ in range(rng.randrange(1, 6))}
-        once = horizontal_boundary(chain, black)
-        assert horizontal_boundary(once, black) == frozenset()
+@st.composite
+def small_complexes(draw):
+    """A complex on at most 6 vertices, from up to 6 random facets."""
+    m = draw(st.integers(1, 6))
+    facets = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1),
+                           min_size=1, max_size=6))
+    return from_facets(m, facets)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(small_complexes())
+def test_edge_maps_match_oracle(X):
+    """For every colouring, white vertex v and bidegree: deleting v commutes
+    with the horizontal boundary on every source basis simplex, and each
+    d_eta_matrix column is the class of the chain the oracle keeps, i.e. the
+    kept chain is a target cycle that differs from the column's combination
+    of target representatives by a target boundary."""
+    m = X.vertex_count
+    simplices = [frozen(s) for s in X.simplices]
+    blocks = {bits: horizontal_homology_with_bases(X, Colouring(bits, m))
+              for bits in range(1 << m)}
+    boundaries: dict = {}  # (colouring, (i, k)) -> boundary chains into (i, k)
+
+    def is_boundary(chain, bits, bg):
+        key = (bits, bg)
+        if key not in boundaries:
+            black = frozen(bits)
+            boundaries[key] = [oracles.horizontal_boundary({t}, black)
+                               for t in simplices
+                               if len(t) == bg[0] + 2 and len(t - black) == bg[1]]
+        gens = boundaries[key]
+        coords = sorted(set(chain).union(*gens), key=sorted)
+        rows = [[int(c in g) for c in coords] for g in gens]
+        return (oracles.gf2_rank(rows + [[int(c in chain) for c in coords]])
+                == oracles.gf2_rank(rows))
+
+    for bits, source_blocks in blocks.items():
+        black = frozen(bits)
+        for v in vertices_of(~bits & ((1 << m) - 1)):
+            tbits = bits | 1 << v
+            tblack = frozen(tbits)
+            for bg, source in source_blocks.items():
+                for s in source.basis:
+                    chain = {frozen(s)}
+                    assert oracles.horizontal_boundary(
+                        oracles.d_eta_chain(chain, v), tblack) == \
+                        oracles.d_eta_chain(oracles.horizontal_boundary(chain, black), v)
+                target = blocks[tbits].get(bg)
+                mat = d_eta_matrix(source, target, v)
+                assert mat.cols == source.hom.rank
+                assert mat.rows == (target.hom.rank if target is not None else 0)
+                for rep, col in zip(source.hom.representatives, mat.columns):
+                    kept = oracles.d_eta_chain(
+                        {frozen(source.basis[p]) for p in vertices_of(rep)}, v)
+                    assert not oracles.horizontal_boundary(kept, tblack)
+                    image: set = set()
+                    for b in vertices_of(col):
+                        image ^= {frozen(target.basis[p])
+                                  for p in vertices_of(target.hom.representatives[b])}
+                    assert is_boundary(kept ^ image, tbits, bg)
+
+
+def test_edge_map_rejects_a_non_cycle_representative():
+    """A representative that is not a cycle keeps a chain that is not a
+    target cycle, or one outside an absent target block; either way the edge
+    map raises the named engine error, not a bare ValueError or KeyError."""
+    X = standard_complex("simplex", 2)
+    source = horizontal_homology_with_bases(X, Colouring(0b001, 3))[(1, 1)]
+    target = horizontal_homology_with_bases(X, Colouring(0b101, 3))[(1, 1)]
+    edge01 = 1 << source.basis.index(0b011)  # its boundary is vertex 1
+    forged = BlockHomology(source.basis,
+                           f2.homology_at([edge01], [], len(source.basis)))
+    for block in (target, None):
+        with pytest.raises(AssertionError, match="chain-map law"):
+            d_eta_matrix(forged, block, 2)
+
+
+def test_benchmark_harness_selftest():
+    """The benchmark's tracing wraps uber.d_eta_matrix and expects one
+    horizontal_homology_with_bases call per colouring; its self-test runs the
+    CLI under that tracing, so a change here that breaks it fails."""
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_level_masks():
