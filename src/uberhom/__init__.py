@@ -10,8 +10,8 @@ from .coloured import (BlockHomology, Colouring, GradedEulerPoly, black_subcompl
                        diagonal_homology, filtered_homology, flatten, graded_euler,
                        horizontal_homology, horizontal_homology_with_bases,
                        simplicial_homology, weight)
-from .errors import (CapExceeded, ColouringMismatch, ComplexError, InvalidColouring,
-                     ParseError, UberhomError)
+from .errors import (CapExceeded, ColouringMismatch, ComplexError, EngineError,
+                     InvalidColouring, ParseError, UberhomError)
 from .graphs import (Dissimilarity, SimpleGraph, ThetaLevel, closed_form_signature,
                      complete_bipartite_graph, complete_graph, cycle_graph,
                      delta_lower_bounds, dissimilarity, encode_graph6,
@@ -24,7 +24,7 @@ from .morse import (DalmatianForm, MorseReport, dalmatian_closed_form,
                     elementary_decomposition, induced_subgraph, is_dalmatian,
                     iterated_dalmatian, verify_morse)
 from .planar import (PlaneGraph, TaitGraph, dual_graph, format_plane_graph,
-                     parse_plane_graph, tait_colouring, tait_graph,
+                     overlay_ranks, parse_plane_graph, tait_colouring, tait_graph,
                      tait_matching_complex, theorem42_verify)
 from .uber import (DEFAULT_CUBE_CAP, cone_suspension_checks, cube_cap,
                    star_intersection, uber_degree0_fast, uber_homology,

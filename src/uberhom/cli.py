@@ -7,7 +7,7 @@ prints aligned key/value rows and `csv` flat rows.  The `dissim` command
 defaults to the pairwise CSV corpus format.
 
 Exit codes: 0 success; 2 malformed input or colouring; 3 colouring length
-mismatch; 4 resource cap exceeded.
+mismatch; 4 resource cap exceeded; 5 an engine invariant failed (a bug).
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .graphs import (Dissimilarity, SimpleGraph, first_differing_level, h0_graph
                      theta_classes)
 from .morse import (dalmatian_closed_form, elementary_decomposition, is_dalmatian,
                     verify_morse)
-from .planar import (parse_plane_graph, tait_colouring, tait_graph,
-                     tait_matching_complex, theorem42_verify)
+from .planar import (overlay_ranks, parse_plane_graph, tait_colouring, tait_graph,
+                     theorem42_verify)
 from .uber import level_masks, uber_degree0_fast, uber_homology
 
 
@@ -331,12 +331,11 @@ def cmd_tait(args) -> dict:
     text, digest = _load(args.input)
     P = parse_plane_graph(text)
     T = tait_graph(P)
-    M, eps = tait_matching_complex(T)
-    ranks = horizontal_homology(M, eps)
+    ranks = overlay_ranks(T)
     nv, nf, ne = T.partition_sizes
     return {"input_sha256": digest,
             "partition": {"primal": nv, "faces": nf, "crossings": ne},
-            "overlay_vertex_count": M.vertex_count,
+            "overlay_vertex_count": 4 * ne,
             "colouring": str(tait_colouring(T)),
             "ranks": _bigraded(ranks)}
 

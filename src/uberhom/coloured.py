@@ -117,8 +117,11 @@ def _boundary_columns(masks, target: dict[int, int], droppable: int):
     simplex; target indexes the faces, which must all lie in it."""
     for s in masks:
         col = 0
-        for v in vertices_of(s & droppable):
-            col |= 1 << target[s ^ (1 << v)]
+        rest = s & droppable
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            col |= 1 << target[s ^ bit]
         yield col
 
 

@@ -63,6 +63,14 @@ class SimplicialComplex:
                 if face and face not in self.simplices:
                     raise ComplexError("simplex set is not face-closed")
 
+    @classmethod
+    def face_closed(cls, vertex_count: int, simplices: frozenset) -> "SimplicialComplex":
+        """Trusted constructor for valid simplex sets face-closed by construction."""
+        X = object.__new__(cls)
+        object.__setattr__(X, "vertex_count", vertex_count)
+        object.__setattr__(X, "simplices", simplices)
+        return X
+
     @property
     def is_void(self) -> bool:
         return not self.simplices

@@ -39,3 +39,9 @@ class CapExceeded(UberhomError):
     """Vertex count above the configured cube cap."""
 
     exit_code = 4
+
+
+class EngineError(UberhomError, AssertionError):
+    """An engine invariant failed (chain-map law, non-negative ranks): a bug."""
+
+    exit_code = 5

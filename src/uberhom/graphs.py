@@ -18,7 +18,7 @@ from itertools import combinations, count
 from . import f2
 from .coloured import Colouring, horizontal_homology
 from .complexes import MAX_VERTICES, SimplicialComplex, vertices_of
-from .errors import ComplexError, ParseError
+from .errors import ComplexError, EngineError, ParseError
 from .uber import level_masks
 
 
@@ -182,24 +182,26 @@ def matching_complex_of_edges(endpoints) -> SimplicialComplex:
         raise ComplexError(f"{n} edges exceed the supported maximum")
     if n == 0:
         return SimplicialComplex(1, frozenset())
+    # clash[1 << i] has bit j set when edges i and j share an endpoint, and bit i
+    at: dict = {}
+    for idx, (a, b) in enumerate(endpoints):
+        at[a] = at.get(a, 0) | 1 << idx
+        at[b] = at.get(b, 0) | 1 << idx
+    clash = {1 << idx: at[a] | at[b] for idx, (a, b) in enumerate(endpoints)}
     simplices: list[int] = []
-    used: set = set()
 
-    def extend(mask: int, start: int):
-        for idx in range(start, n):
-            a, b = endpoints[idx]
-            if a in used or b in used:
-                continue
-            grown = mask | (1 << idx)
+    def extend(mask: int, free: int):
+        # free holds the edges above mask's last one that clash with none of it
+        while free:
+            bit = free & -free
+            free ^= bit
+            grown = mask | bit
             simplices.append(grown)
-            used.add(a)
-            used.add(b)
-            extend(grown, idx + 1)
-            used.discard(a)
-            used.discard(b)
+            extend(grown, free & ~clash[bit])
 
-    extend(0, 0)
-    return SimplicialComplex(n, frozenset(simplices))
+    extend(0, (1 << n) - 1)
+    # every subset of a matching is a matching, so the set is face-closed
+    return SimplicialComplex.face_closed(n, frozenset(simplices))
 
 
 def matching_complex(G: SimpleGraph) -> SimplicialComplex:
@@ -526,7 +528,7 @@ def h0_graph(G: SimpleGraph) -> dict[int, int]:
         rank = f2.rank_of(columns) if j < m else 0
         h = dim - rank - prev_rank
         if h < 0:
-            raise AssertionError("cube differential ranks exceed the level dimension")
+            raise EngineError("cube differential ranks exceed the level dimension")
         if h:
             result[j] = h
         prev_rank = rank

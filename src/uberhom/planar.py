@@ -5,8 +5,10 @@ order of neighbours at each vertex); faces come from dart tracing and the
 embedding must satisfy V - E + F = 2.  Overlaying the graph with its dual
 puts one crossing vertex on every edge; the matching complex of the overlay,
 with half-edges coloured by which side they touch, decomposes level by level
-into matching complexes of edge-deleted subgraphs, and theorem42_verify
-checks that decomposition rank by rank.
+into matching complexes of edge-deleted subgraphs (Theorem 4.2).
+overlay_ranks reads the horizontal ranks off that decomposition without
+building the overlay; theorem42_verify checks it rank by rank against the
+horizontal homology of the overlay built in full.
 """
 
 from __future__ import annotations
@@ -225,14 +227,18 @@ def tait_colouring(T: TaitGraph) -> Colouring:
     return Colouring(bits, 4 * T.crossing_count)
 
 
-def tait_matching_complex(T: TaitGraph) -> tuple[SimplicialComplex, Colouring]:
-    """Matching complex of the overlay together with its half-edge colouring;
-    raises before building it for no edge or over MAX_OVERLAY_EDGES edges."""
+def _check_overlay(T: TaitGraph):
     if not T.crossings:
         raise ComplexError("overlay needs at least one edge")
     if T.crossing_count > MAX_OVERLAY_EDGES:
         raise CapExceeded(f"overlay is limited to {MAX_OVERLAY_EDGES} edges, "
                           f"got {T.crossing_count}")
+
+
+def tait_matching_complex(T: TaitGraph) -> tuple[SimplicialComplex, Colouring]:
+    """Matching complex of the overlay together with its half-edge colouring;
+    raises before building it for no edge or over MAX_OVERLAY_EDGES edges."""
+    _check_overlay(T)
     M = matching_complex_of_edges(list(T.overlay_edges))
     return M, tait_colouring(T)
 
@@ -243,39 +249,44 @@ def _reduced_matching_homology(edge_list) -> dict[int, int]:
     return simplicial_homology(matching_complex_of_edges(edge_list), reduced=True)
 
 
-def theorem42_verify(P: PlaneGraph) -> dict:
-    """Check the level-by-level decomposition of the overlay homology.
-
-    Left side: horizontal homology of the coloured overlay matching complex,
-    grouped by filtration level k.  Right side: level 0 is the unreduced
-    homology of the matching complex of the primal half-edges; level k > 0
-    sums, over every matching of k dual half-edges, the reduced homology
-    (shifted up by k) of the matching complex of the primal half-edges that
-    survive deleting the crossed-out edges.  Those survivors depend only on
-    the set of crossings the matching uses, so each set's reduced homology
-    is computed once and counted once per white matching using it.
-    """
-    T = tait_graph(P)
-    M, eps = tait_matching_complex(T)
-    lhs: dict[int, dict[int, int]] = {}
-    for (d, k), r in horizontal_homology(M, eps).items():
-        lhs.setdefault(k, {})[d] = r
-
+def overlay_ranks(T: TaitGraph) -> dict[tuple[int, int], int]:
+    """Horizontal ranks of the coloured overlay matching complex, keyed by
+    (i, k), from Theorem 4.2's split without building the overlay: level 0
+    is the homology of the primal half-edges' matching complex; level k
+    adds, per matching of k dual half-edges, the reduced homology (shifted
+    by k) of the primal half-edges at the crossings it does not use, once
+    per set of crossings used.  Raises like tait_matching_complex."""
+    _check_overlay(T)
     black = T.black_edges()
     white = T.white_edges()
-
-    base = simplicial_homology(matching_complex_of_edges(black))
-    rhs: dict[int, dict[int, int]] = {0: base}
+    ranks = {(d, 0): r for d, r in
+             simplicial_homology(matching_complex_of_edges(black)).items()}
     # a matching uses each crossing at most once, so k = len(removed)
     uses = Counter(frozenset(white[idx][0] for idx in vertices_of(mask))
                    for mask in matching_complex_of_edges(white).simplices)
     for removed, count in uses.items():
         k = len(removed)
         survivors = [be for be in black if be[0] not in removed]
-        level = rhs.setdefault(k, {})
         for dim, r in _reduced_matching_homology(survivors).items():
-            level[dim + k] = level.get(dim + k, 0) + count * r
-    rhs = {k: v for k, v in rhs.items() if v}
+            ranks[(dim + k, k)] = ranks.get((dim + k, k), 0) + count * r
+    return ranks
+
+
+def theorem42_verify(P: PlaneGraph) -> dict:
+    """Check the level-by-level decomposition of the overlay homology.
+
+    Left side: horizontal homology of the coloured overlay matching complex,
+    built in full and grouped by filtration level k.  Right side:
+    overlay_ranks, which sums survivor homologies over white matchings and
+    never builds the overlay, so the two sides are computed independently.
+    """
+    T = tait_graph(P)
+    M, eps = tait_matching_complex(T)
+    lhs: dict[int, dict[int, int]] = {}
+    rhs: dict[int, dict[int, int]] = {}
+    for side, ranks in ((lhs, horizontal_homology(M, eps)), (rhs, overlay_ranks(T))):
+        for (d, k), r in ranks.items():
+            side.setdefault(k, {})[d] = r
 
     levels = {}
     for k in sorted(set(lhs) | set(rhs)):
@@ -285,5 +296,5 @@ def theorem42_verify(P: PlaneGraph) -> dict:
         "partition": T.partition_sizes,
         "levels": levels,
         "all_equal": all(level["equal"] for level in levels.values()),
-        "level0_matches_subdivision": lhs.get(0, {}) == base,
+        "level0_matches_subdivision": lhs.get(0, {}) == rhs.get(0, {}),
     }

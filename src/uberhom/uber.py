@@ -22,7 +22,7 @@ from . import f2
 from .coloured import (BlockHomology, Colouring, horizontal_homology,
                        horizontal_homology_with_bases, simplicial_homology)
 from .complexes import SimplicialComplex, dim_of, vertices_of
-from .errors import CapExceeded, ComplexError, ParseError
+from .errors import CapExceeded, ComplexError, EngineError, ParseError
 
 DEFAULT_CUBE_CAP = 20
 CAP_ENV_VAR = "UBERHOM_CAP"
@@ -65,7 +65,7 @@ def d_eta_matrix(source_block: BlockHomology, target_block: BlockHomology | None
     representative keeps, placed at their target basis positions.  The
     source boundary never drops the white v, so deletion commutes with it;
     a kept simplex outside the target block or a kept chain that is not a
-    target cycle is an engine bug and raises AssertionError.
+    target cycle is an engine bug and raises EngineError.
     """
     target = target_block if target_block is not None else _ZERO_BLOCK
     index = {mask: p for p, mask in enumerate(target.basis)}
@@ -80,7 +80,7 @@ def d_eta_matrix(source_block: BlockHomology, target_block: BlockHomology | None
                     vec |= 1 << index[basis[p]]
             columns.append(target.hom.coordinates(vec))
     except (KeyError, ValueError):
-        raise AssertionError("cube edge map failed the chain-map law") from None
+        raise EngineError("cube edge map failed the chain-map law") from None
     return f2.BitMatrix(target.hom.rank, len(columns), tuple(columns))
 
 
@@ -153,7 +153,7 @@ def uber_homology(X: SimplicialComplex, cap: int | None = None,
         for bg, dim in cur_dims.items():
             r = dim - rank.get(bg, 0) - prev_rank.get(bg, 0)
             if r < 0:
-                raise AssertionError("cube differential ranks exceed the level dimension")
+                raise EngineError("cube differential ranks exceed the level dimension")
             if r:
                 result[(j, bg[0], bg[1])] = r
         prev_rank = rank

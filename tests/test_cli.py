@@ -15,7 +15,7 @@ import pytest
 
 import uberhom
 from uberhom import (cli, format_complex, format_plane_graph, matching_complex,
-                     parse_graph6, planar, standard_complex)
+                     parse_graph6, planar, standard_complex, uber)
 from uberhom.cli import main
 
 from conftest import plane_fixtures
@@ -348,6 +348,10 @@ OVERLAY_DIGESTS = {
         "88fae90f87c531ff66c20caa1ccdf1c180c96967a68901818ee8cf47e8d6625c",
     ("wheel4", "verify-thm42"):
         "84b435da4ef736ed49db20c5b0091a091e736e4c2b7d9f381391fcfc281bd40c",
+    ("prism", "tait"):
+        "170b51d83023768ab5c3473734745dfc3f7e4071b00615a1bc89db9e70af61d4",
+    ("wheel5", "tait"):  # 10 edges: no benchmark workload runs it
+        "3b5a8d8be28b4d5975be7f2231c5b3a377dca2ec214279c4ea61b99a046c3ea5",
 }
 
 
@@ -417,6 +421,16 @@ def test_error_exit_codes(files, capsys, tmp_path):
     code, _, _ = run_text(capsys, ["horizontal", files["d2"],
                                    "--colouring", "10"])
     assert code == 3
+
+
+def test_engine_error_exit_code(files, capsys, monkeypatch):
+    def broken(source_block, target_block, v):
+        raise uberhom.EngineError("cube edge map failed the chain-map law")
+
+    monkeypatch.setattr(uber, "d_eta_matrix", broken)
+    code, out, err = run_text(capsys, ["uber", files["d2"]])
+    assert (code, out) == (5, "")
+    assert err == "uberhom: cube edge map failed the chain-map law\n"
 
 
 def test_console_script_subprocess(files):

@@ -16,6 +16,7 @@ from uberhom import (
     Dissimilarity,
     ParseError,
     SimpleGraph,
+    SimplicialComplex,
     closed_form_signature,
     complete_bipartite_graph,
     complete_graph,
@@ -34,6 +35,7 @@ from uberhom import (
     hypercube_graph,
     matching_complex,
     matching_complex_of_edges,
+    mask_of,
     maximal_spacious_trees,
     min_vertex_cover_size,
     parse_graph6,
@@ -169,6 +171,18 @@ def test_matching_complex_of_edges_with_parallels():
     assert {vertices_of(s) for s in M.simplices} == {(0,), (1,)}
     # an empty edge list gives the void complex
     assert matching_complex_of_edges([]).is_void
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7))
+                .filter(lambda e: e[0] != e[1]), max_size=12))
+def test_matching_complex_of_edges_against_oracle(edges):
+    """The trusted builder enumerates exactly the matchings (parallel edges
+    included) and its output passes the validating constructor unchanged."""
+    M = matching_complex_of_edges(edges)
+    expected = {mask_of(m) for m in all_matchings(edges) if m}
+    assert M.simplices == expected
+    assert SimplicialComplex(M.vertex_count, M.simplices) == M
 
 
 def test_closed_form_signature_is_exact():

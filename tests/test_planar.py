@@ -1,9 +1,11 @@
 """Unit tests for plane graphs, duals, and the overlay matching identity."""
 
+import random
+
 import networkx as nx
 import pytest
 
-from uberhom import planar
+from uberhom import cli, planar
 from uberhom import (
     CapExceeded,
     Colouring,
@@ -13,7 +15,9 @@ from uberhom import (
     SimpleGraph,
     dual_graph,
     format_plane_graph,
+    horizontal_homology,
     matching_complex_of_edges,
+    overlay_ranks,
     parse_plane_graph,
     simplicial_homology,
     tait_colouring,
@@ -208,6 +212,45 @@ def test_tait_matching_complex(planes):
     # it really is the matching complex of the overlay edge list
     direct = matching_complex_of_edges(list(T.overlay_edges))
     assert M == direct
+
+
+def _relabel(P: PlaneGraph, seed: int) -> PlaneGraph:
+    """The same embedding with vertices renamed by a seeded permutation."""
+    n = P.graph.vertex_count
+    perm = random.Random(seed).sample(range(n), n)
+    rotations = [()] * n
+    for v, rot in enumerate(P.rotations):
+        rotations[perm[v]] = tuple(perm[w] for w in rot)
+    graph = SimpleGraph.from_edges(n, [(perm[u], perm[v]) for u, v in P.graph.edges])
+    return PlaneGraph(graph, tuple(rotations))
+
+
+def test_overlay_ranks_against_built_overlay(planes):
+    """The split route equals the horizontal homology of the overlay built in
+    full, on every fixture of at most 10 edges and on relabelled prisms."""
+    cases = {name: P for name, P in planes.items() if 1 <= P.graph.edge_count <= 10}
+    assert {"prism", "wheel5"} <= set(cases)
+    cases.update({f"prism@{seed}": _relabel(planes["prism"], seed) for seed in (1, 2)})
+    for name, P in cases.items():
+        T = tait_graph(P)
+        assert overlay_ranks(T) == horizontal_homology(*tait_matching_complex(T)), name
+
+
+def test_tait_never_enumerates_the_overlay(planes, tmp_path, capsys, monkeypatch):
+    original = planar.matching_complex_of_edges
+    sizes = []
+
+    def recording(edges):
+        sizes.append(len(edges))
+        return original(edges)
+
+    monkeypatch.setattr(planar, "matching_complex_of_edges", recording)
+    path = tmp_path / "prism.plane"
+    path.write_text(format_plane_graph(planes["prism"]))
+    assert cli.main(["tait", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    crossings = tait_graph(planes["prism"]).crossing_count
+    assert sizes and max(sizes) <= 2 * crossings  # the overlay has 4 per crossing
 
 
 def test_theorem42_small_graphs(planes):
