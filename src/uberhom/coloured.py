@@ -227,8 +227,10 @@ def simplicial_homology(X: SimplicialComplex, reduced: bool = False) -> dict[int
     the void complex then has rank 1 in degree -1.
     """
     # the augmentation is the boundary onto the empty simplex (mask 0)
-    blocks = {-1: (0,), **X.by_dim} if reduced else X.by_dim
-    return _chain_ranks(blocks, lambda d: d - 1, -1)
+    blocks: dict[int, list[int]] = {-1: [0]} if reduced else {}
+    for s in X.simplices:
+        blocks.setdefault(s.bit_count() - 1, []).append(s)
+    return _chain_ranks(dict(sorted(blocks.items())), lambda d: d - 1, -1)
 
 
 def black_subcomplex(X: SimplicialComplex, eps: Colouring):

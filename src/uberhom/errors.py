@@ -42,6 +42,7 @@ class CapExceeded(UberhomError):
 
 
 class EngineError(UberhomError, AssertionError):
-    """An engine invariant failed (chain-map law, non-negative ranks): a bug."""
+    """An engine invariant failed (chain-map law, core summands, non-negative
+    ranks): a bug."""
 
     exit_code = 5

@@ -36,9 +36,14 @@ def insert(pivots: dict[int, int], v: int) -> bool:
     return False
 
 
-def rank_of(columns) -> int:
-    """Rank of the span of an iterable of vectors."""
-    pivots: dict[int, int] = {}
+def rank_of(columns, pivots: dict[int, int] | None = None) -> int:
+    """Rank of the span of an iterable of vectors.
+
+    When given, pivots (an empty dict, passed by keyword) is filled with the
+    forward-elimination basis {lowest set bit: row} of that span.
+    """
+    if pivots is None:
+        pivots = {}
     return sum(1 for v in columns if insert(pivots, v))
 
 

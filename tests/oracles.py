@@ -176,6 +176,81 @@ def check_split_boundaries(simplices, black):
             raise AssertionError("differentials do not anticommute")
 
 
+def gf2_left_nullspace(rows) -> list[list[int]]:
+    """Basis of the combinations of the given 0/1 rows that sum to zero, as
+    0/1 lists over the row indices (one elimination of rows augmented by the
+    identity)."""
+    width = len(rows[0]) if rows else 0
+    aug = [list(r) + [int(i == g) for i in range(len(rows))] for g, r in enumerate(rows)]
+    done = 0
+    for col in range(width):
+        pivot = next((r for r in range(done, len(aug)) if aug[r][col]), None)
+        if pivot is None:
+            continue
+        aug[done], aug[pivot] = aug[pivot], aug[done]
+        for r in range(len(aug)):
+            if r != done and aug[r][col]:
+                aug[r] = [a ^ b for a, b in zip(aug[r], aug[done])]
+        done += 1
+    return [row[width:] for row in aug[done:]]
+
+
+def _chain_rank(chains) -> int:
+    """Rank of a list of chains, each a set of hashable coordinates."""
+    coords = list({c for chain in chains for c in chain})
+    rows = [[int(c in chain) for c in coords] for chain in chains if chain]
+    return gf2_rank(rows)
+
+
+def naive_uber(m: int, facets) -> dict:
+    """Trigraded colour-cube ranks {(j, i, k): rank} from chains of vertex
+    frozensets, over every black set S of the m vertices.
+
+    Level j of the (i, k) tower is the sum of the horizontal homologies of
+    the colourings with j black vertices.  Its differential sends a cycle z
+    at S to the sum over white v of z minus its simplices through v, placed
+    at S + v.  With Z_j the cycles of level j and B_j its boundaries, the
+    induced map on homology has rank rank(f(Z_j) + B_{j+1}) - rank(B_{j+1}).
+    """
+    simplices = close_downward(facets)
+    blacks = [frozenset(c) for r in range(m + 1)
+              for c in itertools.combinations(range(m), r)]
+    chains: dict = {}  # (i, k) -> {S: simplices of dimension i with k white}
+    for S in blacks:
+        for s in simplices:
+            chains.setdefault((len(s) - 1, len(s - S)), {}).setdefault(S, []).append(s)
+
+    result: dict = {}
+    for (i, k), groups in chains.items():
+        cycles: dict = {}  # S -> list of cycle chains
+        bounds: dict = {}  # S -> list of boundary chains
+        homology = {j: 0 for j in range(m + 1)}
+        for S, gens in groups.items():
+            bds = [horizontal_boundary({s}, S) for s in gens]
+            faces = list(set().union(*bds))
+            rows = [[int(f in b) for f in faces] for b in bds]
+            cycles[S] = [frozenset(g for g, x in zip(gens, kernel) if x)
+                         for kernel in gf2_left_nullspace(rows)]
+            above = chains.get((i + 1, k), {}).get(S, [])
+            bounds[S] = [horizontal_boundary({t}, S) for t in above]
+            homology[len(S)] += len(cycles[S]) - _chain_rank(bounds[S])
+
+        def image(S, z):
+            return {(S | {v}, s) for v in set(range(m)) - S for s in z if v not in s}
+
+        ranks = {}
+        for j in range(m):
+            boundaries = [{(S, s) for s in b} for S in bounds if len(S) == j + 1
+                          for b in bounds[S]]
+            images = [image(S, z) for S in cycles if len(S) == j for z in cycles[S]]
+            ranks[j] = _chain_rank(images + boundaries) - _chain_rank(boundaries)
+        for j in range(m + 1):
+            r = homology[j] - ranks.get(j, 0) - ranks.get(j - 1, 0)
+            if r:
+                result[(j, i, k)] = r
+    return result
+
+
 def d_eta_chain(chain, v) -> frozenset:
     """Cube edge map on a chain of vertex frozensets: delete every simplex
     containing v."""

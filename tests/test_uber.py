@@ -14,6 +14,7 @@ from uberhom import (
     CapExceeded,
     Colouring,
     ComplexError,
+    EngineError,
     ParseError,
     cone_suspension_checks,
     cube_cap,
@@ -34,7 +35,7 @@ from uberhom import (
     vertices_of,
     SimpleGraph,
 )
-from uberhom import f2
+from uberhom import f2, uber
 from uberhom.coloured import BlockHomology, horizontal_homology_with_bases
 from uberhom.uber import d_eta_matrix, level_masks
 
@@ -149,6 +150,66 @@ def test_edge_map_rejects_a_non_cycle_representative():
     for block in (target, None):
         with pytest.raises(AssertionError, match="chain-map law"):
             d_eta_matrix(forged, block, 2)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(small_complexes())
+def test_representatives_lie_in_one_white_part(X):
+    """The engine keeps only representatives of core white part; that is
+    exact because every representative lies in one white-part summand."""
+    m = X.vertex_count
+    for bits in range(1 << m):
+        for bg, blk in horizontal_homology_with_bases(X, Colouring(bits, m)).items():
+            for rep in blk.hom.representatives:
+                parts = {blk.basis[p] & ~bits for p in vertices_of(rep)}
+                assert len(parts) == 1, (bits, bg, rep)
+
+
+def test_edge_map_rejects_a_non_core_target(monkeypatch):
+    """On the path 0-1-2 only the white parts {} and {1} are core.  A forged
+    all-white representative v1 + v2 has core white part {1}, but blackening
+    vertex 0 sends it onto the class of v2, whose part {2} is not core: the
+    engine raises the named error instead of dropping the coordinate."""
+    X = from_facets(3, [(0, 1), (1, 2)])
+    assert star_intersection(X) == (0b010,)
+    original = uber.horizontal_homology_with_bases
+
+    def forged(Y, eps):
+        blocks = original(Y, eps)
+        if eps.bits == 0:
+            vertices = blocks[(0, 1)]
+            assert vertices.basis == (0b001, 0b010, 0b100)
+            blocks[(0, 1)] = BlockHomology(vertices.basis,
+                                           f2.homology_at([0b001, 0b110], [], 3))
+        return blocks
+
+    monkeypatch.setattr(uber, "horizontal_homology_with_bases", forged)
+    with pytest.raises(EngineError, match="left the core summands"):
+        uber_homology(X)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(small_complexes())
+def test_uber_homology_matches_naive_oracle(X):
+    assert uber_homology(X) == oracles.naive_uber(
+        X.vertex_count, [vertices_of(s) for s in X.simplices])
+
+
+@pytest.mark.parametrize("X, core_sizes", [
+    (standard_complex("simplex", 3), {1, 2, 3, 4}),
+    (standard_complex("boundary", 4), {1, 2, 3}),
+    (standard_complex("cycle", 4).cone(), {1}),
+    (standard_complex("torus_min"), {1}),
+    (from_facets(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4)]), {1}),
+], ids=["simplex3", "boundary4", "cone_cycle4", "torus_min", "mixed_target"])
+def test_uber_homology_matches_naive_oracle_on_core_faces(X, core_sizes):
+    """Fixed complexes whose nonempty core faces have the given sizes.  In
+    mixed_target only vertex 1 is core, and at black set {2, 3, 4} the (1, 1)
+    block's representatives have white parts {0}, {1}, {1}: the edge maps
+    into it must place the core classes by index, not by shift."""
+    assert {s.bit_count() for s in star_intersection(X)} == core_sizes
+    assert uber_homology(X) == oracles.naive_uber(
+        X.vertex_count, [vertices_of(s) for s in X.simplices])
 
 
 def test_benchmark_harness_selftest():
