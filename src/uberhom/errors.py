@@ -42,7 +42,7 @@ class CapExceeded(UberhomError):
 
 
 class EngineError(UberhomError, AssertionError):
-    """An engine invariant failed (chain-map law, core summands, non-negative
+    """An engine invariant failed (chain-map law, d² = 0, non-negative
     ranks): a bug."""
 
     exit_code = 5

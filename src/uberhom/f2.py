@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import EngineError
+
 
 def _low_bit(v: int) -> int:
     """Position of the lowest set bit of a nonzero int."""
@@ -103,7 +105,7 @@ class HomologyWithBasis:
     Representatives are the cycle rows whose pivots are not pivots of the
     boundary space; together with the boundary rows they form a basis of
     the cycle space, so their classes are a basis of homology.  Raises
-    ValueError when some boundary is not a cycle.
+    EngineError when some boundary is not a cycle.
     """
 
     def __init__(self, dim: int, cycle_rows: list[int], boundary_rows: list[int]):
@@ -111,7 +113,7 @@ class HomologyWithBasis:
         cycles = {_low_bit(r): r for r in cycle_rows}
         for r in boundary_rows:
             if insert(cycles, r):
-                raise ValueError("boundary maps do not compose to zero")
+                raise EngineError("boundary maps do not compose to zero")
         self._boundary = {_low_bit(r): r for r in boundary_rows}
         reps = [r for r in cycle_rows if _low_bit(r) not in self._boundary]
         self._reps = {_low_bit(r): (r, i) for i, r in enumerate(reps)}

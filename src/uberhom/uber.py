@@ -9,16 +9,15 @@ never drops it and the deletion is a chain map; on a cycle it is a
 projection onto the target block's basis, read off basis positions.
 
 The horizontal boundary keeps a simplex's white part W, so every block is a
-direct sum over W, and every representative that
-`horizontal_homology_with_bases` returns lies in one summand: kernel rows
-in reduced echelon form, forward-eliminated image rows and `coordinates`
-never mix summands.  Blackening v kills the summands with v in W and
-includes the others, so each tower splits over W too.  If some u outside W
-has W + u not a simplex, u is not in the link of W, the maps in direction u
-are identities, and the summand of W is acyclic.  Only W empty and the
-faces of `star_intersection(X)` (the core) can carry homology, so a level
-is laid out over its core representatives alone, and a nonzero coordinate
-on a non-core target class is an engine error.
+direct sum over W, and blackening v kills the summands with v in W and
+includes the others: each tower is a direct sum over W.  If some u outside
+W has W + u not a simplex, u is not in the link of W, the maps in direction
+u are identities, and the summand of W is acyclic.  Only W empty and the
+faces of `star_intersection(X)` (the core) can carry homology.  The core is
+closed under faces, and a face's white part lies in its simplex's, so the
+simplices of core white part form a subcomplex; its cube is a direct
+summand of the whole cube with an acyclic complement, and each colouring's
+homology is taken on that subcomplex alone.
 
 Levels are reduced in a streaming fashion (only two adjacent levels are
 ever held), with clearing (Chen and Kerber, "Persistent homology
@@ -26,11 +25,11 @@ computation with a twist", EuroCG 2011): a source position that is the
 lowest bit of an image row of the previous differential is skipped, since
 that row is a boundary and the differential kills it.
 
-The per-colouring call stays whole: each colouring's blocks come from one
-`horizontal_homology_with_bases` call over all white parts, and the cube
-edge maps go through `d_eta_matrix`, because the benchmark's tracing
-counts both by name.  A closed form for the bottom of the cube and a
-two-level shortcut for its top are provided alongside the full computation.
+Each colouring's blocks come from one `horizontal_homology_with_bases`
+call, and the cube edge maps go through `d_eta_matrix`, because the
+benchmark's tracing counts both by name.  A closed form for the bottom of
+the cube and a two-level shortcut for its top are provided alongside the
+full computation.
 """
 
 from __future__ import annotations
@@ -109,11 +108,16 @@ def level_masks(m: int, j: int) -> list[int]:
     return sorted(sum(1 << v for v in combo) for combo in combinations(range(m), j))
 
 
-def _level(X: SimplicialComplex, j: int) -> dict:
-    """{colouring mask: per-bidegree blocks} over the colourings of weight j."""
+def _level(X: SimplicialComplex, core: frozenset, j: int) -> dict:
+    """{colouring mask: per-bidegree blocks} over the colourings of weight j,
+    each on the subcomplex of X whose simplices have a core white part."""
     m = X.vertex_count
-    return {mask: horizontal_homology_with_bases(X, Colouring(mask, m))
-            for mask in level_masks(m, j)}
+    level = {}
+    for mask in level_masks(m, j):
+        kept = frozenset(s for s in X.simplices if s & ~mask in core)
+        level[mask] = horizontal_homology_with_bases(
+            SimplicialComplex.face_closed(m, kept), Colouring(mask, m))
+    return level
 
 
 def _core(X: SimplicialComplex) -> frozenset:
@@ -122,46 +126,25 @@ def _core(X: SimplicialComplex) -> frozenset:
     return frozenset((0, *star_intersection(X)))
 
 
-def _layout(level: dict, core: frozenset, bidegrees) -> tuple[dict, dict]:
-    """Direct-sum layout of a level over its core representatives:
-    {bidegree: {mask: {representative index: position}}} and
-    {bidegree: dimension}, over the wanted bidegrees.  A representative lies
-    in one white-part summand, named by its lowest basis simplex; blocks
-    without a core representative are left out."""
+def _layout(level: dict, bidegrees) -> tuple[dict, dict]:
+    """Direct-sum layout of a level: {bidegree: {mask: offset}} and
+    {bidegree: dimension}, over the wanted bidegrees; blocks of rank 0 are
+    left out."""
     layout: dict = {}
     dims: dict = {}
     for mask, blocks in level.items():
         for bg, blk in blocks.items():
-            if bidegrees is not None and bg not in bidegrees:
-                continue
-            basis = blk.basis
-            kept = [c for c, rep in enumerate(blk.hom.representatives)
-                    if basis[(rep & -rep).bit_length() - 1] & ~mask in core]
-            if kept:
+            if blk.hom.rank and (bidegrees is None or bg in bidegrees):
                 start = dims.get(bg, 0)
-                layout.setdefault(bg, {})[mask] = {c: start + n
-                                                   for n, c in enumerate(kept)}
-                dims[bg] = start + len(kept)
+                layout.setdefault(bg, {})[mask] = start
+                dims[bg] = start + blk.hom.rank
     return layout, dims
-
-
-def _place(col: int, where: dict) -> int:
-    """An edge-map column moved from target representative indices to layout
-    positions.  A coordinate outside the layout means a core class reached a
-    non-core summand, which the white-part split rules out."""
-    out = 0
-    for c in vertices_of(col):
-        pos = where.get(c)
-        if pos is None:
-            raise EngineError("cube edge map left the core summands")
-        out |= 1 << pos
-    return out
 
 
 def _differential_ranks(m: int, cur: dict, cur_layout: dict, nxt: dict,
                         nxt_layout: dict, cleared: dict) -> tuple[dict, dict]:
-    """Rank, per bidegree, of the cube differential from level cur to nxt on
-    the core summands, and the pivot positions of its image.
+    """Rank, per bidegree, of the cube differential from level cur to nxt,
+    and the pivot positions of its image.
 
     Source positions in cleared[bidegree], the image pivots of the previous
     differential, are skipped (clearing): the image rows with those lowest
@@ -175,23 +158,19 @@ def _differential_ranks(m: int, cur: dict, cur_layout: dict, nxt: dict,
         targets = nxt_layout.get(bg, {})
         skip = cleared.get(bg, ())
         columns = []
-        for mask, positions in sources.items():
-            kept = [c for c, pos in positions.items() if pos not in skip]
+        for mask, start in sources.items():
+            blk = cur[mask][bg]
+            kept = [c for c in range(blk.hom.rank) if start + c not in skip]
             if not kept:
                 continue
-            blk = cur[mask][bg]
             cols = [0] * len(kept)
             for v in vertices_of(~mask & full):
                 t = mask | 1 << v
                 mat = d_eta_matrix(blk, nxt[t].get(bg), v)
-                where = targets.get(t, {})
-                if mat.rows and len(where) == mat.rows:  # every target class is core
-                    shift = where[0]
+                if mat.rows:
+                    shift = targets[t]
                     for n, c in enumerate(kept):
                         cols[n] ^= mat.columns[c] << shift
-                else:
-                    for n, c in enumerate(kept):
-                        cols[n] ^= _place(mat.columns[c], where)
             columns.extend(cols)
         found = pivots[bg] = {}
         ranks[bg] = f2.rank_of(columns, pivots=found)
@@ -213,11 +192,11 @@ def uber_homology(X: SimplicialComplex, cap: int | None = None,
     result: dict = {}
     prev_rank: dict = {}
     cleared: dict = {}
-    cur = _level(X, 0)
-    cur_layout, cur_dims = _layout(cur, core, bidegrees)
+    cur = _level(X, core, 0)
+    cur_layout, cur_dims = _layout(cur, bidegrees)
     for j in range(m + 1):
-        nxt = _level(X, j + 1) if j < m else {}
-        nxt_layout, nxt_dims = _layout(nxt, core, bidegrees)
+        nxt = _level(X, core, j + 1) if j < m else {}
+        nxt_layout, nxt_dims = _layout(nxt, bidegrees)
         rank, cleared = _differential_ranks(m, cur, cur_layout, nxt, nxt_layout, cleared)
         for bg, dim in cur_dims.items():
             r = dim - rank.get(bg, 0) - prev_rank.get(bg, 0)
@@ -255,9 +234,9 @@ def uber_top_level(X: SimplicialComplex) -> dict:
         return {}
     m = X.vertex_count
     core = _core(X)
-    below, top = _level(X, m - 1), _level(X, m)
-    top_layout, top_dims = _layout(top, core, None)
-    below_layout = _layout(below, core, None)[0]
+    below, top = _level(X, core, m - 1), _level(X, core, m)
+    top_layout, top_dims = _layout(top, None)
+    below_layout = _layout(below, None)[0]
     ranks, _ = _differential_ranks(m, below, below_layout, top, top_layout, {})
     return {bg: dim - ranks.get(bg, 0) for bg, dim in top_dims.items()
             if dim > ranks.get(bg, 0)}

@@ -14,7 +14,6 @@ from uberhom import (
     CapExceeded,
     Colouring,
     ComplexError,
-    EngineError,
     ParseError,
     cone_suspension_checks,
     cube_cap,
@@ -34,6 +33,7 @@ from uberhom import (
     star_intersection,
     vertices_of,
     SimpleGraph,
+    SimplicialComplex,
 )
 from uberhom import f2, uber
 from uberhom.coloured import BlockHomology, horizontal_homology_with_bases
@@ -155,8 +155,9 @@ def test_edge_map_rejects_a_non_cycle_representative():
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(small_complexes())
 def test_representatives_lie_in_one_white_part(X):
-    """The engine keeps only representatives of core white part; that is
-    exact because every representative lies in one white-part summand."""
+    """Every representative lies in one white-part summand: the horizontal
+    boundary keeps the white part, so each block is a direct sum over it,
+    and the reduced echelon cycle rows never mix summands."""
     m = X.vertex_count
     for bits in range(1 << m):
         for bg, blk in horizontal_homology_with_bases(X, Colouring(bits, m)).items():
@@ -165,27 +166,33 @@ def test_representatives_lie_in_one_white_part(X):
                 assert len(parts) == 1, (bits, bg, rep)
 
 
-def test_edge_map_rejects_a_non_core_target(monkeypatch):
-    """On the path 0-1-2 only the white parts {} and {1} are core.  A forged
-    all-white representative v1 + v2 has core white part {1}, but blackening
-    vertex 0 sends it onto the class of v2, whose part {2} is not core: the
-    engine raises the named error instead of dropping the coordinate."""
-    X = from_facets(3, [(0, 1), (1, 2)])
-    assert star_intersection(X) == (0b010,)
+MIXED_TARGET = from_facets(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4)])
+
+
+@pytest.mark.parametrize("X", [
+    MIXED_TARGET, standard_complex("cycle", 5), standard_complex("torus_min"),
+], ids=["mixed_target", "cycle5", "torus_min"])
+def test_each_colouring_gets_its_core_subcomplex(monkeypatch, X):
+    """uber_homology makes one horizontal_homology_with_bases call per
+    colouring, on the simplices of X whose white part is empty or a face of
+    the star intersection; that set is face-closed, so the validating
+    constructor accepts it, and on some colouring it is smaller than X."""
+    m = X.vertex_count
+    core = {0, *star_intersection(X)}
     original = uber.horizontal_homology_with_bases
+    calls = []
 
-    def forged(Y, eps):
-        blocks = original(Y, eps)
-        if eps.bits == 0:
-            vertices = blocks[(0, 1)]
-            assert vertices.basis == (0b001, 0b010, 0b100)
-            blocks[(0, 1)] = BlockHomology(vertices.basis,
-                                           f2.homology_at([0b001, 0b110], [], 3))
-        return blocks
+    def recorder(Y, eps):
+        calls.append((eps.bits, Y))
+        return original(Y, eps)
 
-    monkeypatch.setattr(uber, "horizontal_homology_with_bases", forged)
-    with pytest.raises(EngineError, match="left the core summands"):
-        uber_homology(X)
+    monkeypatch.setattr(uber, "horizontal_homology_with_bases", recorder)
+    uber_homology(X)
+    assert sorted(bits for bits, _ in calls) == list(range(1 << m))
+    for bits, Y in calls:
+        assert Y == SimplicialComplex(
+            m, frozenset(s for s in X.simplices if s & ~bits in core)), bits
+    assert any(Y.simplices < X.simplices for _, Y in calls)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -200,13 +207,13 @@ def test_uber_homology_matches_naive_oracle(X):
     (standard_complex("boundary", 4), {1, 2, 3}),
     (standard_complex("cycle", 4).cone(), {1}),
     (standard_complex("torus_min"), {1}),
-    (from_facets(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4)]), {1}),
+    (MIXED_TARGET, {1}),
 ], ids=["simplex3", "boundary4", "cone_cycle4", "torus_min", "mixed_target"])
 def test_uber_homology_matches_naive_oracle_on_core_faces(X, core_sizes):
     """Fixed complexes whose nonempty core faces have the given sizes.  In
     mixed_target only vertex 1 is core, and at black set {2, 3, 4} the (1, 1)
-    block's representatives have white parts {0}, {1}, {1}: the edge maps
-    into it must place the core classes by index, not by shift."""
+    block of X has classes of white parts {0}, {1}, {1}; only the two of
+    part {1} lie in the core subcomplex."""
     assert {s.bit_count() for s in star_intersection(X)} == core_sizes
     assert uber_homology(X) == oracles.naive_uber(
         X.vertex_count, [vertices_of(s) for s in X.simplices])
