@@ -19,8 +19,8 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 from .coloured import (Colouring, GradedEulerPoly, diagonal_homology, filtered_homology,
@@ -100,9 +100,12 @@ def _load_corpus(path: str) -> tuple[list[str], str]:
     return lines, digest
 
 
+MAX_SWEEP = 1 << 16  # colourings in one --colouring sweep
+
+
 def _resolve_colourings(spec: str, m: int) -> list[Colouring]:
     if spec == "all":
-        if m > 16:
+        if 1 << m > MAX_SWEEP:
             raise CapExceeded(f"refusing to enumerate 2^{m} colourings; "
                               f"16 vertices is the limit for --colouring all")
         return [Colouring(bits, m) for bits in range(1 << m)]
@@ -119,6 +122,9 @@ def _resolve_colourings(spec: str, m: int) -> list[Colouring]:
             raise ParseError(f"bad colouring spec {spec!r}") from None
         if not 0 <= j <= m:
             raise ParseError(f"level {j} outside 0..{m}")
+        if comb(m, j) > MAX_SWEEP:
+            raise CapExceeded(f"refusing to enumerate C({m}, {j}) = {comb(m, j)} "
+                              f"colourings; {MAX_SWEEP} is the limit for --colouring level")
         return [Colouring(bits, m) for bits in level_masks(m, j)]
     eps = Colouring.from_string(spec)
     eps.check_length(m)
@@ -192,6 +198,7 @@ def _run_bigraded(args, diagonal: bool) -> dict:
         if workers <= 1:
             results = list(map(_homology_worker, work))
         else:
+            from concurrent.futures import ProcessPoolExecutor  # here, so only a pool pays for it
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_homology_worker, work, chunksize=64))
         report["colourings"] = {name: ranks for name, ranks in sorted(results)}

@@ -46,35 +46,10 @@ class Colouring:
         return cls(bits, len(text))
 
     @classmethod
-    def all_black(cls, m: int) -> "Colouring":
-        return cls((1 << m) - 1, m)
-
-    @classmethod
-    def all_white(cls, m: int) -> "Colouring":
-        return cls(0, m)
-
-    @classmethod
     def elementary(cls, m: int, v: int) -> "Colouring":
         if not 0 <= v < m:
             raise InvalidColouring(f"vertex {v} outside colouring of length {m}")
         return cls(1 << v, m)
-
-    @classmethod
-    def from_black_set(cls, m: int, black) -> "Colouring":
-        bits = 0
-        for v in black:
-            if not 0 <= v < m:
-                raise InvalidColouring(f"vertex {v} outside colouring of length {m}")
-            bits |= 1 << v
-        return cls(bits, m)
-
-    @property
-    def weight_norm(self) -> int:
-        """Number of black vertices."""
-        return self.bits.bit_count()
-
-    def is_black(self, v: int) -> bool:
-        return bool(self.bits >> v & 1)
 
     def black_vertices(self) -> tuple[int, ...]:
         return vertices_of(self.bits)
@@ -89,13 +64,6 @@ class Colouring:
 
     def __str__(self) -> str:
         return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.length))
-
-
-def weight(sigma: int, colouring: Colouring) -> int:
-    """White-vertex count of the simplex: its filtration degree."""
-    if sigma >> colouring.length:
-        raise ColouringMismatch("simplex uses vertices beyond the colouring")
-    return (sigma & ~colouring.bits).bit_count()
 
 
 def _blocks(X: SimplicialComplex, eps: Colouring) -> dict[tuple[int, int], list[int]]:
@@ -233,16 +201,6 @@ def simplicial_homology(X: SimplicialComplex, reduced: bool = False) -> dict[int
     return _chain_ranks(dict(sorted(blocks.items())), lambda d: d - 1, -1)
 
 
-def black_subcomplex(X: SimplicialComplex, eps: Colouring):
-    """Simplices whose vertices are all black, over the same universe.
-    Returns None when there are none (the void black subcomplex)."""
-    eps.check_length(X.vertex_count)
-    kept = frozenset(s for s in X.simplices if not s & ~eps.bits)
-    if not kept:
-        return None
-    return SimplicialComplex(X.vertex_count, kept)
-
-
 @dataclass(frozen=True)
 class GradedEulerPoly:
     """Alternating-sum polynomial of horizontal ranks in the weight variable."""
@@ -266,10 +224,3 @@ def graded_euler(X: SimplicialComplex, eps: Colouring) -> GradedEulerPoly:
         coeffs[k] = coeffs.get(k, 0) + (r if i % 2 == 0 else -r)
     return GradedEulerPoly(tuple(sorted((k, c) for k, c in coeffs.items() if c)))
 
-
-def flatten(ranks: dict) -> dict[int, int]:
-    """Forget the weight grading: sum ranks over k at each dimension."""
-    out: dict[int, int] = {}
-    for (i, _k), r in ranks.items():
-        out[i] = out.get(i, 0) + r
-    return {i: r for i, r in sorted(out.items()) if r}

@@ -2,8 +2,8 @@
 
 A simplex is a nonempty bitmask over vertex indices; the universe is capped
 at 64 vertices so every simplex fits in one machine word.  Complexes are
-immutable and face-closed; links may be void (zero simplices) while keeping
-the ambient universe.
+immutable and face-closed; a complex may be void (zero simplices, as for an
+empty matching complex) while keeping the ambient universe.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .errors import ComplexError, ParseError
+from .errors import CapExceeded, ComplexError, ParseError
 
 MAX_VERTICES = 64
+MAX_INPUT_FACES = 1 << 20  # read_complex refuses more, summed over facets, before closing them
 
 
 def mask_of(vertices) -> int:
@@ -87,99 +88,6 @@ class SimplicialComplex:
     def dim(self) -> int:
         return max(self.by_dim, default=-1)
 
-    @cached_property
-    def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(self.by_dim.get(d, ())) for d in range(self.dim + 1))
-
-    @property
-    def euler_characteristic(self) -> int:
-        return sum(n if d % 2 == 0 else -n for d, n in enumerate(self.f_vector))
-
-    def _check_vertex(self, v: int):
-        if not 0 <= v < self.vertex_count:
-            raise ComplexError(f"vertex {v} outside universe of size {self.vertex_count}")
-
-    def star(self, v: int) -> frozenset[int]:
-        """Simplices containing v (not a subcomplex)."""
-        self._check_vertex(v)
-        bit = 1 << v
-        return frozenset(s for s in self.simplices if s & bit)
-
-    def closed_star(self, v: int) -> "SimplicialComplex":
-        """Face closure of star(v): all s with s ∪ {v} in the complex."""
-        self._check_vertex(v)
-        bit = 1 << v
-        return SimplicialComplex(
-            self.vertex_count,
-            frozenset(s for s in self.simplices if (s | bit) in self.simplices))
-
-    def link(self, v: int) -> "SimplicialComplex":
-        """May be void; keeps the ambient universe."""
-        self._check_vertex(v)
-        bit = 1 << v
-        return SimplicialComplex(
-            self.vertex_count,
-            frozenset(s for s in self.simplices
-                      if not s & bit and (s | bit) in self.simplices))
-
-    def delete_star(self, v: int) -> "SimplicialComplex":
-        """All simplices avoiding v, with vertices above v shifted down."""
-        self._check_vertex(v)
-        if self.vertex_count < 2:
-            raise ComplexError("cannot delete the only vertex")
-        bit = 1 << v
-        low = bit - 1
-        kept = frozenset((s & low) | ((s >> (v + 1)) << v)
-                         for s in self.simplices if not s & bit)
-        if not kept:
-            raise ComplexError("deleting the star leaves nothing")
-        return SimplicialComplex(self.vertex_count - 1, kept)
-
-    def is_connected(self) -> bool:
-        verts = [v for v in range(self.vertex_count) if (1 << v) in self.simplices]
-        if len(verts) <= 1:
-            return True
-        adj = {v: 0 for v in verts}
-        for s in self.by_dim.get(1, ()):
-            a, b = vertices_of(s)
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        seen = 1 << verts[0]
-        frontier = [verts[0]]
-        while frontier:
-            nxt = adj[frontier.pop()] & ~seen
-            seen |= nxt
-            frontier.extend(vertices_of(nxt))
-        return all(seen >> v & 1 for v in verts)
-
-    def diameter(self) -> int:
-        """Max geodesic distance in the 1-skeleton; needs connectivity."""
-        if not self.is_connected():
-            raise ComplexError("diameter requires a connected complex")
-        verts = [v for v in range(self.vertex_count) if (1 << v) in self.simplices]
-        adj = {v: 0 for v in verts}
-        for s in self.by_dim.get(1, ()):
-            a, b = vertices_of(s)
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        best = 0
-        for start in verts:
-            seen = 1 << start
-            frontier = 1 << start
-            dist = 0
-            while True:
-                nxt = 0
-                for v in vertices_of(frontier):
-                    nxt |= adj[v]
-                nxt &= ~seen
-                if not nxt:
-                    break
-                dist += 1
-                seen |= nxt
-                frontier = nxt
-            best = max(best, dist)
-        return best
-
     def facets(self) -> list[int]:
         """Maximal simplices in (dimension, mask) order."""
         out = []
@@ -197,16 +105,6 @@ class SimplicialComplex:
             self.vertex_count,
             frozenset(mask_of(perm[v] for v in vertices_of(s)) for s in self.simplices))
 
-    def cone(self) -> "SimplicialComplex":
-        """Join with one new apex, the highest index."""
-        if self.vertex_count + 1 > MAX_VERTICES:
-            raise ComplexError("cone exceeds the vertex cap")
-        apex = 1 << self.vertex_count
-        out = set(self.simplices)
-        out.add(apex)
-        out.update(s | apex for s in self.simplices)
-        return SimplicialComplex(self.vertex_count + 1, frozenset(out))
-
     def suspension(self) -> "SimplicialComplex":
         """Join with two new apexes that never share a simplex."""
         if self.vertex_count + 2 > MAX_VERTICES:
@@ -219,41 +117,27 @@ class SimplicialComplex:
         out.update(s | a2 for s in self.simplices)
         return SimplicialComplex(self.vertex_count + 2, frozenset(out))
 
-    def barycentric_subdivision(self) -> "SimplicialComplex":
-        """New vertices are old simplices, ordered by (dimension, vertex list);
-        new simplices are inclusion chains."""
-        order = sorted(self.simplices, key=lambda s: (dim_of(s), vertices_of(s)))
-        if len(order) > MAX_VERTICES:
-            raise ComplexError("subdivision exceeds the vertex cap")
-        index = {s: i for i, s in enumerate(order)}
-        # chains_into[s]: all chains of proper faces ending strictly below s
-        chains_ending: dict[int, list[int]] = {}
-        for s in order:
-            own = 1 << index[s]
-            chains = [own]
-            t = (s - 1) & s
-            while t:
-                if t in self.simplices:
-                    chains.extend(c | own for c in chains_ending[t])
-                t = (t - 1) & s
-            chains_ending[s] = chains
-        out = set()
-        for chains in chains_ending.values():
-            out.update(chains)
-        return SimplicialComplex(len(order), frozenset(out))
-
 
 def from_facets(m: int, facets) -> SimplicialComplex:
     """Face closure of the given facets, plus every singleton in [0, m)."""
+    return _closure(m, _facet_masks(m, facets))
+
+
+def _facet_masks(m: int, facets) -> list[int]:
     if not 1 <= m <= MAX_VERTICES:
         raise ComplexError(f"vertex count must be in 1..{MAX_VERTICES}, got {m}")
-    simplices = {1 << v for v in range(m)}
-    for facet in facets:
-        f = mask_of(facet)
+    masks = [mask_of(facet) for facet in facets]
+    for f in masks:
         if f == 0:
             raise ComplexError("empty facet")
         if f >= 1 << m:
             raise ComplexError("facet vertex out of range")
+    return masks
+
+
+def _closure(m: int, masks: list[int]) -> SimplicialComplex:
+    simplices = {1 << v for v in range(m)}
+    for f in masks:
         stack = [f]
         while stack:
             s = stack.pop()
@@ -386,9 +270,14 @@ def read_complex(text: str) -> SimplicialComplex:
             raise ParseError(f"negative vertex in facet line {line!r}")
         facets.append(facet)
     try:
-        return from_facets(m, facets)
+        masks = _facet_masks(m, facets)
     except ComplexError as exc:
         raise ParseError(str(exc)) from None
+    faces = sum((1 << f.bit_count()) - 1 for f in masks)
+    if faces > MAX_INPUT_FACES:
+        raise CapExceeded(f"the facets have {faces} faces counted with repeats; "
+                          f"{MAX_INPUT_FACES} is the limit for an input complex")
+    return _closure(m, masks)
 
 
 def format_complex(X: SimplicialComplex) -> str:

@@ -13,11 +13,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, count
+from itertools import count
 
 from . import f2
-from .coloured import Colouring, horizontal_homology
-from .complexes import MAX_VERTICES, SimplicialComplex, vertices_of
+from .complexes import MAX_VERTICES, SimplicialComplex, from_facets, vertices_of
 from .errors import ComplexError, EngineError, ParseError
 from .uber import level_masks
 
@@ -160,9 +159,7 @@ def graph_as_complex(G: SimpleGraph) -> SimplicialComplex:
     """The graph as a 1-dimensional simplicial complex."""
     if not G.is_connected:
         raise ComplexError("graph must be connected to convert to a complex")
-    simplices = {1 << v for v in range(G.vertex_count)}
-    simplices.update((1 << u) | (1 << v) for u, v in G.edges)
-    return SimplicialComplex(G.vertex_count, frozenset(simplices))
+    return from_facets(G.vertex_count, G.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -371,120 +368,6 @@ def dissimilarity(G1: SimpleGraph, G2: SimpleGraph) -> Dissimilarity:
     return Dissimilarity.at_level(G1.vertex_count, j)
 
 
-def girth(G: SimpleGraph) -> int | None:
-    """Length of a shortest cycle, or None for a forest."""
-    best = None
-    for start in range(G.vertex_count):
-        dist = {start: 0}
-        parent = {start: -1}
-        queue = [start]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for w in vertices_of(G.adjacency[u]):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w:
-                    length = dist[u] + dist[w] + 1
-                    if best is None or length < best:
-                        best = length
-    return best
-
-
-def min_vertex_cover_size(G: SimpleGraph) -> int:
-    """Minimum vertex cover size by exhaustive search (small graphs only)."""
-    for size in range(G.vertex_count + 1):
-        for combo in combinations(range(G.vertex_count), size):
-            bits = 0
-            for v in combo:
-                bits |= 1 << v
-            if all(bits & ((1 << u) | (1 << v)) for u, v in G.edges):
-                return size
-    raise AssertionError("unreachable: the full vertex set covers everything")
-
-
-def delta_lower_bounds(G1: SimpleGraph, G2: SimpleGraph) -> dict:
-    """Applicable dissimilarity lower bounds, each a Fraction or None.
-
-    Degree sequences differing force a difference by level 1; differing
-    girths force one by the smaller girth; differing vertex cover numbers by
-    the smaller cover size.
-    """
-    if G1.vertex_count != G2.vertex_count:
-        raise ComplexError("lower bounds need equal vertex counts")
-    m = G1.vertex_count
-    bounds: dict = {"degree_seq": None, "girth": None, "vertex_cover": None}
-    if G1.degree_sequence != G2.degree_sequence:
-        bounds["degree_seq"] = Fraction(m - 1, m)
-    g1, g2 = girth(G1), girth(G2)
-    if g1 != g2:
-        smaller = min(g for g in (g1, g2) if g is not None)
-        bounds["girth"] = Fraction(m - smaller, m)
-    c1, c2 = min_vertex_cover_size(G1), min_vertex_cover_size(G2)
-    if c1 != c2:
-        bounds["vertex_cover"] = Fraction(m - min(c1, c2), m)
-    return bounds
-
-
-def vertex_cover_bijection_check(G: SimpleGraph) -> bool:
-    """Exhaustively check: the weight-2 horizontal homology vanishes exactly
-    when the black vertices cover every edge."""
-    m = G.vertex_count
-    if m > 16:
-        raise ComplexError("exhaustive cover check is limited to 16 vertices")
-    X = graph_as_complex(G)
-    for bits in range(1 << m):
-        ranks = horizontal_homology(X, Colouring(bits, m))
-        weight2_trivial = not any(k == 2 for (_, k) in ranks)
-        is_cover = all(bits & ((1 << u) | (1 << v)) for u, v in G.edges)
-        if weight2_trivial != is_cover:
-            return False
-    return True
-
-
-def _black_is_tree(G: SimpleGraph, bits: int) -> bool:
-    if not bits:
-        return False
-    adj = G.adjacency
-    roots, _ = _black_components_with_roots(adj, bits)
-    bb_edges = sum((adj[v] & bits).bit_count() for v in vertices_of(bits)) // 2
-    return len(roots) == 1 and bb_edges == bits.bit_count() - 1
-
-
-def spacious_trees(G: SimpleGraph) -> list[Colouring]:
-    """Colourings whose induced black subgraph is a tree.
-
-    Enumerated two ways: directly on the graph side, and through the
-    homology conditions rank(0,0) = 1 and rank(1,0) = 0; the routes must
-    agree, and the matched colourings are returned in ascending bit order.
-    """
-    m = G.vertex_count
-    if m > 16:
-        raise ComplexError("tree enumeration is limited to 16 vertices")
-    X = graph_as_complex(G)
-    out = []
-    for bits in range(1 << m):
-        ranks = horizontal_homology(X, Colouring(bits, m))
-        hom_side = ranks.get((0, 0), 0) == 1 and ranks.get((1, 0), 0) == 0
-        if hom_side != _black_is_tree(G, bits):
-            raise AssertionError("tree/homology bijection failed")
-        if hom_side:
-            out.append(Colouring(bits, m))
-    return out
-
-
-def maximal_spacious_trees(G: SimpleGraph) -> list[Colouring]:
-    """Spacious trees not contained in a larger one (by vertex set)."""
-    all_trees = spacious_trees(G)
-    masks = [c.bits for c in all_trees]
-    return [c for c in all_trees
-            if not any(other != c.bits and other & c.bits == c.bits
-                       for other in masks)]
-
-
 # ---------------------------------------------------------------------------
 # specialised graph homologies
 
@@ -567,54 +450,3 @@ def h2_graph(G: SimpleGraph) -> dict[int, int]:
         raise ComplexError("graph homologies need a connected graph")
     return {0: 1} if G.vertex_count == 2 else {}
 
-
-# ---------------------------------------------------------------------------
-# small standard graphs
-
-
-def complete_graph(m: int) -> SimpleGraph:
-    return SimpleGraph.from_edges(m, combinations(range(m), 2))
-
-
-def cycle_graph(m: int) -> SimpleGraph:
-    if m < 3:
-        raise ComplexError("cycles need at least three vertices")
-    return SimpleGraph.from_edges(m, ((i, (i + 1) % m) for i in range(m)))
-
-
-def path_graph(edges: int) -> SimpleGraph:
-    if edges < 1:
-        raise ComplexError("paths need at least one edge")
-    return SimpleGraph.from_edges(edges + 1, ((i, i + 1) for i in range(edges)))
-
-
-def complete_bipartite_graph(a: int, b: int) -> SimpleGraph:
-    return SimpleGraph.from_edges(
-        a + b, ((i, a + j) for i in range(a) for j in range(b)))
-
-
-def grid_graph(rows: int, cols: int) -> SimpleGraph:
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return SimpleGraph.from_edges(rows * cols, edges)
-
-
-def hypercube_graph(n: int) -> SimpleGraph:
-    verts = 1 << n
-    edges = [(v, v ^ (1 << b)) for v in range(verts) for b in range(n)
-             if v < v ^ (1 << b)]
-    return SimpleGraph.from_edges(verts, edges)
-
-
-def prism_graph(m: int) -> SimpleGraph:
-    """Two m-cycles joined by a perfect matching."""
-    base = [(i, (i + 1) % m) for i in range(m)]
-    top = [(m + i, m + (i + 1) % m) for i in range(m)]
-    rungs = [(i, m + i) for i in range(m)]
-    return SimpleGraph.from_edges(2 * m, base + top + rungs)

@@ -173,54 +173,3 @@ def dalmatian_closed_form(X: SimplicialComplex, eps: Colouring) -> DalmatianForm
         ranks[bigrading] = ranks.get(bigrading, 0) + 1
     return DalmatianForm(ranks, tuple(generators))
 
-
-def iterated_dalmatian(X: SimplicialComplex, stages) -> MorseReport:
-    """Union of stage-wise matchings; each stage pairs a cell with its face
-    only when both are still alive (unmatched by every earlier stage).
-
-    Stage requirements, checked eagerly: the stage's black set is dalmatian
-    on X, its vertices avoid all earlier closed stars, and after the last
-    stage the closed stars must cover the whole vertex set.
-    """
-    stage_sets = [tuple(sorted(set(stage))) for stage in stages]
-    if not stage_sets:
-        raise InvalidColouring("empty stage sequence")
-    full = (1 << X.vertex_count) - 1
-    alive = set(X.simplices)
-    union_edges: set[Edge] = set()
-    earlier_blacks = 0
-    covered = 0
-    for p, stage in enumerate(stage_sets):
-        if not stage:
-            raise InvalidColouring(f"stage {p}: empty vertex set")
-        eps = Colouring.from_black_set(X.vertex_count, stage)
-        if not is_dalmatian(X, eps):
-            raise InvalidColouring(f"stage {p}: colouring is not dalmatian")
-        for v in stage:
-            neighbourhood = 1 << v
-            for s in X.by_dim.get(1, ()):
-                if s >> v & 1:
-                    neighbourhood |= s
-            if neighbourhood & earlier_blacks:
-                raise InvalidColouring(
-                    f"stage {p}: vertex {v} lies in an earlier closed star")
-            covered |= neighbourhood
-        matched: set[Edge] = set()
-        for s in alive:
-            for v in vertices_of(s & eps.bits):
-                face = s ^ (1 << v)
-                if face and face in alive:
-                    matched.add((s, face))
-        if not _is_matching(matched):
-            raise AssertionError(f"stage {p}: induced pairs are not a matching")
-        for s, t in matched:
-            alive.discard(s)
-            alive.discard(t)
-        union_edges |= matched
-        earlier_blacks |= eps.bits
-    if covered != full:
-        raise InvalidColouring(
-            "closed stars of the stage colourings do not cover every vertex")
-    acyclic = _matching_is_acyclic(X, union_edges)
-    criticals = tuple(sorted(alive, key=lambda s: (dim_of(s), s)))
-    return MorseReport(frozenset(union_edges), True, acyclic, criticals)

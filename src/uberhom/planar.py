@@ -1,4 +1,4 @@
-"""Plane graphs, their duals, and the overlaid Tait construction.
+"""Plane graphs and the overlaid Tait construction.
 
 A plane graph is a simple connected graph plus a rotation system (the cyclic
 order of neighbours at each vertex); faces come from dart tracing and the
@@ -125,30 +125,6 @@ def format_plane_graph(P: PlaneGraph) -> str:
     lines = [f"v {v}: " + " ".join(str(w) for w in rot)
              for v, rot in enumerate(P.rotations)]
     return "\n".join(lines) + "\n"
-
-
-def dual_graph(P: PlaneGraph) -> PlaneGraph:
-    """Plane dual: one vertex per face, one edge per primal edge.
-
-    Raises when the dual is not simple (a bridge makes a loop, two edges
-    bounding the same pair of faces make a parallel edge); the Tait overlay
-    does not need this restriction, only dual_graph itself.
-    """
-    dual_edges = {}
-    for u, v in P.graph.edges:
-        f1, f2 = P.edge_sides(u, v)
-        if f1 == f2:
-            raise ComplexError(f"edge ({u},{v}) is a bridge; the dual has a loop")
-        pair = (min(f1, f2), max(f1, f2))
-        if pair in dual_edges:
-            raise ComplexError(f"faces {pair} share two edges; the dual has a "
-                               f"parallel edge")
-        dual_edges[pair] = (u, v)
-    rotations = []
-    for cycle in P.faces:
-        rotations.append(tuple(P.face_of_dart[(v, u)] for u, v in cycle))
-    graph = SimpleGraph.from_edges(P.face_count, dual_edges)
-    return PlaneGraph(graph, tuple(rotations))
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,9 @@ import os
 from itertools import combinations
 
 from . import f2
-from .coloured import (BlockHomology, Colouring, horizontal_homology,
-                       horizontal_homology_with_bases, simplicial_homology)
-from .complexes import SimplicialComplex, dim_of, vertices_of
-from .errors import CapExceeded, ComplexError, EngineError, ParseError
+from .coloured import BlockHomology, Colouring, horizontal_homology_with_bases
+from .complexes import SimplicialComplex, dim_of, mask_of, vertices_of
+from .errors import CapExceeded, EngineError, ParseError
 
 DEFAULT_CUBE_CAP = 20
 CAP_ENV_VAR = "UBERHOM_CAP"
@@ -105,7 +104,7 @@ def d_eta_matrix(source_block: BlockHomology, target_block: BlockHomology | None
 
 def level_masks(m: int, j: int) -> list[int]:
     """Colouring bitmasks of weight j, ascending."""
-    return sorted(sum(1 << v for v in combo) for combo in combinations(range(m), j))
+    return sorted(mask_of(combo) for combo in combinations(range(m), j))
 
 
 def _level(X: SimplicialComplex, core: frozenset, j: int) -> dict:
@@ -241,69 +240,3 @@ def uber_top_level(X: SimplicialComplex) -> dict:
     return {bg: dim - ranks.get(bg, 0) for bg, dim in top_dims.items()
             if dim > ranks.get(bg, 0)}
 
-
-def uber_topdegree_check(X: SimplicialComplex) -> dict:
-    """Checks specific to closed-manifold triangulations.
-
-    Verifies that every vertex link has the GF(2) homology of a sphere of
-    dimension dim(X)-1 (raising otherwise), that the one-white-vertex
-    colourings decompose into the link and vertex-deletion homologies, and
-    that the top cube level is a single class in bidegree (dim X, 0).
-    """
-    if X.is_void or X.dim < 1:
-        raise ComplexError("manifold checks need a complex of dimension at least 1")
-    if not X.is_connected():
-        raise ComplexError("manifold checks need a connected complex")
-    n = X.dim
-    m = X.vertex_count
-    sphere = {n - 1: 1}
-    blocks_match = True
-    for v in range(m):
-        link_reduced = simplicial_homology(X.link(v), reduced=True)
-        if link_reduced != sphere:
-            raise ComplexError(
-                f"link of vertex {v} does not have sphere homology: {link_reduced}")
-        eps = Colouring(((1 << m) - 1) ^ (1 << v), m)
-        blocks = horizontal_homology(X, eps)
-        expected = {(d + 1, 1): r for d, r in link_reduced.items()}
-        deleted = simplicial_homology(X.delete_star(v))
-        expected.update({(i, 0): r for i, r in deleted.items()})
-        if blocks != expected:
-            blocks_match = False
-    top = uber_top_level(X)
-    return {
-        "dimension": n,
-        "vertex_count": m,
-        "links_spherical": True,
-        "one_white_blocks_match": blocks_match,
-        "top_level": top,
-        "top_is_single_class": top == {(n, 0): 1},
-    }
-
-
-def cone_suspension_checks(X: SimplicialComplex, cap: int | None = None) -> dict:
-    """Rank-wise checks of the four cone/suspension identities.
-
-    The cone kills the top cube level and cones the star intersection; the
-    suspension preserves degree-0 ranks and shifts the top level up by one
-    dimension.
-    """
-    if X.is_void:
-        raise ComplexError("cone/suspension checks need a nonvoid complex")
-    cone = X.cone()
-    susp = X.suspension()
-    _check_cap(susp, cap)
-    apex_bit = 1 << X.vertex_count
-    core = star_intersection(X)
-    coned_core = tuple(sorted(core + tuple(s | apex_bit for s in core) + (apex_bit,)))
-    x_top = uber_top_level(X)
-    susp_top = uber_top_level(susp)
-    return {
-        "cone_top_vanishes": uber_top_level(cone) == {},
-        "cone_core_is_coned": star_intersection(cone) == coned_core,
-        "suspension_degree0_matches": uber_degree0_fast(susp) == uber_degree0_fast(X),
-        "x_top_level": x_top,
-        "suspension_top_level": susp_top,
-        "suspension_top_shifts": susp_top == {(i + 1, k): r
-                                              for (i, k), r in x_top.items()},
-    }

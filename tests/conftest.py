@@ -15,6 +15,8 @@ from uberhom import (
     standard_complex,
 )
 
+from paper import cone, is_connected
+
 # ---------------------------------------------------------------------------
 # bundled complex suite: connected complexes on at most 6 vertices
 
@@ -36,7 +38,7 @@ def build_suite() -> list[tuple[str, object]]:
         ("path5", standard_complex("path", 5)),
         ("rp2_min", standard_complex("rp2_min")),
         ("octahedron", standard_complex("cycle", 4).suspension()),
-        ("cone_cycle4", standard_complex("cycle", 4).cone()),
+        ("cone_cycle4", cone(standard_complex("cycle", 4))),
         ("complete4", standard_complex("complete", 4)),
         ("bipartite23", standard_complex("complete_bipartite", 2, 3)),
         # two filled triangles sharing an edge, with a hollow triangle
@@ -48,7 +50,7 @@ def build_suite() -> list[tuple[str, object]]:
         ("three_triangles", from_facets(5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])),
     ]
     assert all(X.vertex_count <= 6 for _, X in suite)
-    assert all(X.is_connected() for _, X in suite)
+    assert all(is_connected(X) for _, X in suite)
     assert len(suite) >= 12
     return suite
 

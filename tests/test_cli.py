@@ -4,6 +4,7 @@ Most tests drive main() in-process and inspect parsed JSON; a few go through
 the installed console script to pin down exit codes in a real process.
 """
 
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -14,8 +15,8 @@ from pathlib import Path
 import pytest
 
 import uberhom
-from uberhom import (cli, format_complex, format_plane_graph, matching_complex,
-                     parse_graph6, planar, standard_complex, uber)
+from uberhom import (cli, complexes, format_complex, format_plane_graph,
+                     matching_complex, parse_graph6, planar, standard_complex, uber)
 from uberhom.cli import main
 
 from conftest import plane_fixtures
@@ -192,6 +193,40 @@ def test_uber_cap(files, capsys, monkeypatch):
     assert code == 4  # 17 vertices exceeds the --colouring all limit
 
 
+def test_level_sweep_cap(tmp_path, capsys, monkeypatch):
+    """--colouring level:j refuses more colourings than --colouring all
+    allows, before building any of them."""
+    path = tmp_path / "cycle40.cplx"
+    path.write_text(format_complex(standard_complex("cycle", 40)))
+    report = run_json(capsys, ["horizontal", str(path), "--colouring", "level:1"])
+    assert len(report["colourings"]) == 40
+
+    def unreachable(m, j):
+        raise AssertionError("colourings built past the cap")
+
+    monkeypatch.setattr(cli, "level_masks", unreachable)
+    code, out, err = run_text(capsys, ["horizontal", str(path), "--colouring", "level:20"])
+    assert (code, out) == (4, "")
+    assert "limit for --colouring level" in err
+
+
+def test_input_closure_cap(tmp_path, capsys, monkeypatch):
+    """A complex file whose facets have more than 2^20 faces, counted once
+    per facet, exits 4 before any face is closed."""
+    def unreachable(m, masks):
+        raise AssertionError("facets closed past the cap")
+
+    monkeypatch.setattr(complexes, "_closure", unreachable)
+    path = tmp_path / "big.cplx"
+    for text in ("64\n" + " ".join(map(str, range(64))) + "\n",
+                 "21\n" + " ".join(map(str, range(20))) + "\n"
+                 + " ".join(map(str, range(1, 21))) + "\n"):
+        path.write_text(text)
+        code, out, err = run_text(capsys, ["uber0", str(path)])
+        assert (code, out) == (4, "")
+        assert "limit for an input complex" in err
+
+
 def test_uber0(files, capsys):
     report = run_json(capsys, ["uber0", files["d2"]])
     assert report["ranks"] == {"(00,01)": 3, "(01,02)": 3, "(02,03)": 1}
@@ -280,7 +315,7 @@ def test_jobs_are_validated_and_clamped(files, capsys, monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cases = [  # (cpu_count, argv, jobs, workers or None)
         (4, ["dissim", files["corpus"]], 2, None),
         (4, ["dissim", files["corpus"]], 8, None),
@@ -433,11 +468,25 @@ def test_engine_error_exit_code(files, capsys, monkeypatch):
     assert err == "uberhom: cube edge map failed the chain-map law\n"
 
 
-def test_console_script_subprocess(files):
-    # the child process imports the same package as this one, installed or not
+def child_env() -> dict:
+    """Environment under which a child process imports the same package as
+    this one, installed or not."""
     src = str(Path(uberhom.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    """Only a sweep that starts a pool imports the process-pool machinery."""
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, uberhom.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env=child_env())
+    assert (result.returncode, result.stdout) == (0, "False\n")
+
+
+def test_console_script_subprocess(files):
+    env = child_env()
     result = subprocess.run(
         [sys.executable, "-m", "uberhom.cli", "uber0", files["d2"]],
         capture_output=True, text=True, env=env)

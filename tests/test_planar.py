@@ -13,7 +13,6 @@ from uberhom import (
     ParseError,
     PlaneGraph,
     SimpleGraph,
-    dual_graph,
     format_plane_graph,
     horizontal_homology,
     matching_complex_of_edges,
@@ -22,23 +21,17 @@ from uberhom import (
     simplicial_homology,
     tait_colouring,
     tait_graph,
-    tait_matching_complex,
     theorem42_verify,
     vertices_of,
 )
+from uberhom.planar import tait_matching_complex
 
 from conftest import rotations_from_coordinates
 from oracles import all_matchings
+from paper import dual_graph, to_networkx
 
 SMALL = ["triangle", "square", "path2", "star3", "diamond"]
 SIMPLE_DUALS = ["prism", "cube", "octahedron"] + [f"wheel{k}" for k in range(3, 10)]
-
-
-def to_networkx(G: SimpleGraph) -> "nx.Graph":
-    H = nx.Graph()
-    H.add_nodes_from(range(G.vertex_count))
-    H.add_edges_from(G.edges)
-    return H
 
 
 def test_face_counts_satisfy_euler(planes):
@@ -198,10 +191,8 @@ def test_tait_colouring(planes):
         eps = tait_colouring(T)
         E = T.crossing_count
         assert eps.length == 4 * E
-        assert eps.weight_norm == 2 * E
-        assert all(eps.is_black(4 * e) and eps.is_black(4 * e + 1)
-                   and not eps.is_black(4 * e + 2) and not eps.is_black(4 * e + 3)
-                   for e in range(E))
+        assert eps.bits.bit_count() == 2 * E
+        assert all(eps.bits >> 4 * e & 0b1111 == 0b0011 for e in range(E))
 
 
 def test_tait_matching_complex(planes):

@@ -13,34 +13,26 @@ from hypothesis import strategies as st
 from uberhom import (
     CapExceeded,
     Colouring,
-    ComplexError,
     ParseError,
-    cone_suspension_checks,
-    cube_cap,
-    cycle_graph,
     from_facets,
     graph_as_complex,
     h0_graph,
     horizontal_homology,
-    path_graph,
-    complete_graph,
-    complete_bipartite_graph,
     standard_complex,
     uber_degree0_fast,
     uber_homology,
     uber_top_level,
-    uber_topdegree_check,
-    star_intersection,
     vertices_of,
     SimpleGraph,
     SimplicialComplex,
 )
 from uberhom import f2, uber
 from uberhom.coloured import BlockHomology, horizontal_homology_with_bases
-from uberhom.uber import d_eta_matrix, level_masks
+from uberhom.uber import cube_cap, d_eta_matrix, level_masks, star_intersection
 
 import oracles
 from oracles import naive_graph_h0
+from paper import check_cone_suspension, check_top_degree, cone, graph, link
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -205,7 +197,7 @@ def test_uber_homology_matches_naive_oracle(X):
 @pytest.mark.parametrize("X, core_sizes", [
     (standard_complex("simplex", 3), {1, 2, 3, 4}),
     (standard_complex("boundary", 4), {1, 2, 3}),
-    (standard_complex("cycle", 4).cone(), {1}),
+    (cone(standard_complex("cycle", 4)), {1}),
     (standard_complex("torus_min"), {1}),
     (MIXED_TARGET, {1}),
 ], ids=["simplex3", "boundary4", "cone_cycle4", "torus_min", "mixed_target"])
@@ -312,11 +304,11 @@ def test_graph_degree0_tower_three_routes():
     """Engine cube slice, the graph-side fast implementation, and the naive
     component-cube oracle must agree on the (0, 0) tower."""
     graphs = [
-        path_graph(3),
-        cycle_graph(4),
-        cycle_graph(5),
-        complete_graph(4),
-        complete_bipartite_graph(2, 3),
+        graph("path", 3),
+        graph("cycle", 4),
+        graph("cycle", 5),
+        graph("complete", 4),
+        graph("complete_bipartite", 2, 3),
         # bull: triangle with two horns
         SimpleGraph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)]),
     ]
@@ -330,7 +322,7 @@ def test_graph_degree0_tower_three_routes():
 
 def test_void_complex_has_empty_cube():
     X = standard_complex("simplex", 1)
-    void = X.link(0).link(1)  # link of a vertex inside the link: void
+    void = link(link(X, 0), 1)  # link of a vertex inside the link: void
     assert void.is_void
     assert uber_homology(void) == {}
     assert uber_top_level(void) == {}
@@ -338,34 +330,25 @@ def test_void_complex_has_empty_cube():
 
 def test_topdegree_check_on_spheres():
     for X in (standard_complex("boundary", 2), standard_complex("boundary", 3)):
-        report = uber_topdegree_check(X)
-        assert report["links_spherical"]
-        assert report["one_white_blocks_match"]
-        assert report["top_is_single_class"]
-        assert report["top_level"] == {(X.dim, 0): 1}
+        check_top_degree(X)
 
 
 def test_topdegree_check_rejects_nonmanifolds():
-    with pytest.raises(ComplexError):
-        uber_topdegree_check(standard_complex("simplex", 2))  # links contractible
+    with pytest.raises(AssertionError):
+        check_top_degree(standard_complex("simplex", 2))  # links contractible
     two_circles = from_facets(
         6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    with pytest.raises(ComplexError):
-        uber_topdegree_check(two_circles)  # disconnected
+    with pytest.raises(AssertionError):
+        check_top_degree(two_circles)  # disconnected
     isolated = from_facets(1, [])
-    with pytest.raises(ComplexError):
-        uber_topdegree_check(isolated)  # dimension 0
+    with pytest.raises(AssertionError):
+        check_top_degree(isolated)  # dimension 0
 
 
 def test_cone_suspension_checks_flags(suite):
-    for name, X in [("boundary2", standard_complex("boundary", 2)),
-                    ("path2", standard_complex("path", 2)),
-                    ("simplex2", standard_complex("simplex", 2))]:
-        report = cone_suspension_checks(X)
-        assert report["cone_top_vanishes"], name
-        assert report["cone_core_is_coned"], name
-        assert report["suspension_degree0_matches"], name
-        assert report["suspension_top_shifts"], name
+    for X in (standard_complex("boundary", 2), standard_complex("path", 2),
+              standard_complex("simplex", 2)):
+        check_cone_suspension(X)
 
 
 def test_frozen_small_closed_forms():
