@@ -6,7 +6,7 @@ built on colouring profiles."""
 from .complexes import (MAX_VERTICES, SimplicialComplex, dim_of, format_complex,
                         from_facets, mask_of, read_complex, standard_complex,
                         vertices_of)
-from .coloured import (BlockHomology, Colouring, GradedEulerPoly, diagonal_homology,
+from .coloured import (BlockHomology, Colouring, diagonal_homology, dual_grading,
                        filtered_homology, graded_euler, horizontal_homology,
                        horizontal_homology_with_bases, simplicial_homology)
 from .errors import (CapExceeded, ColouringMismatch, ComplexError, EngineError,

@@ -23,7 +23,7 @@ from itertools import combinations
 from math import comb
 from pathlib import Path
 
-from .coloured import (Colouring, GradedEulerPoly, diagonal_homology, filtered_homology,
+from .coloured import (Colouring, diagonal_homology, dual_grading, filtered_homology,
                        graded_euler, horizontal_homology, horizontal_homology_with_bases)
 from .complexes import SimplicialComplex, format_complex, read_complex, vertices_of
 from .errors import CapExceeded, ParseError, UberhomError
@@ -157,12 +157,6 @@ def _generator_payload(blocks) -> dict[str, list]:
     return out
 
 
-def _regrade_diagonal(blocks) -> dict:
-    """Horizontal blocks of the complement colouring, keyed by the diagonal
-    bigrading of the original (same chains; (i,k) goes to (i, i+1-k))."""
-    return {(i, i + 1 - k): block for (i, k), block in blocks.items()}
-
-
 # --- per-command handlers (each returns a JSON-ready dict) ---
 
 
@@ -188,7 +182,7 @@ def _run_bigraded(args, diagonal: bool) -> dict:
             blocks = horizontal_homology_with_bases(
                 X, eps.complement() if diagonal else eps)
             if diagonal:
-                blocks = _regrade_diagonal(blocks)
+                blocks = dual_grading(blocks)
             report["generators"] = _generator_payload(blocks)
     else:
         if args.generators:
@@ -227,11 +221,11 @@ def cmd_filtered(args) -> dict:
 def cmd_euler(args) -> dict:
     X, digest = _load_complex(args.input)
     eps = _single_colouring(args.colouring, X.vertex_count)
-    poly: GradedEulerPoly = graded_euler(X, eps)
+    coefficients = graded_euler(X, eps)
     return {"input_sha256": digest, "vertex_count": X.vertex_count,
             "colouring": str(eps),
-            "coefficients": {_dimkey(k): c for k, c in poly.coefficients},
-            "chi_at_1": poly(1), "chi_at_0": poly(0)}
+            "coefficients": {_dimkey(k): c for k, c in coefficients.items()},
+            "chi_at_1": sum(coefficients.values()), "chi_at_0": coefficients.get(0, 0)}
 
 
 def cmd_morse(args) -> dict:

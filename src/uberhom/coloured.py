@@ -7,15 +7,15 @@ homology here is over GF(2).
 
 The horizontal differential keeps a simplex's white part W, so its complex
 is the direct sum over W of the black chains of the link of W (reduced for
-nonempty W), shifted by |W|; the diagonal one splits over black parts alike.
-Ranks do not depend on basis order, so the rank-only routines eliminate one
-summand at a time, grouped straight from the unsorted simplex set.
+nonempty W), shifted by |W|.  Ranks do not depend on basis order, so the
+rank-only routines eliminate one summand at a time, grouped straight from
+the unsorted simplex set.  The diagonal differential is the horizontal one
+of the complementary colouring, so diagonal homology is that, regraded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import f2
 from .complexes import SimplicialComplex, vertices_of
@@ -116,31 +116,30 @@ def _chain_ranks(blocks: dict, down, droppable: int) -> dict:
     return result
 
 
-def _split_ranks(X: SimplicialComplex, eps: Colouring, kept: int, droppable: int,
-                 grade) -> dict:
-    """(i, k) ranks from summands keyed by (dimension, kept part), whose
-    weight is grade(dimension, kept part)."""
+def horizontal_homology(X: SimplicialComplex, eps: Colouring) -> dict:
+    """Nonzero ranks of the horizontal homology, keyed by (i, k)."""
     eps.check_length(X.vertex_count)
     blocks: dict[tuple[int, int], list[int]] = {}
     for s in X.simplices:
-        blocks.setdefault((s.bit_count() - 1, s & kept), []).append(s)
+        blocks.setdefault((s.bit_count() - 1, s & ~eps.bits), []).append(s)
     ranks: dict[tuple[int, int], int] = {}
-    for (d, part), h in _chain_ranks(blocks, lambda dp: (dp[0] - 1, dp[1]),
-                                     droppable).items():
-        key = (d, grade(d, part))
+    for (d, white), h in _chain_ranks(blocks, lambda dw: (dw[0] - 1, dw[1]),
+                                      eps.bits).items():
+        key = (d, white.bit_count())
         ranks[key] = ranks.get(key, 0) + h
     return ranks
 
 
-def horizontal_homology(X: SimplicialComplex, eps: Colouring) -> dict:
-    """Nonzero ranks of the horizontal homology, keyed by (i, k)."""
-    return _split_ranks(X, eps, ~eps.bits, eps.bits, lambda d, white: white.bit_count())
+def dual_grading(graded: dict) -> dict:
+    """Regrade (i, k) -> (i, i + 1 - k): a simplex of dimension i with k
+    white vertices has i + 1 - k white vertices in the complement colouring."""
+    return {(i, i + 1 - k): value for (i, k), value in graded.items()}
 
 
 def diagonal_homology(X: SimplicialComplex, eps: Colouring) -> dict:
-    """Nonzero ranks of the diagonal homology, keyed by (i, k)."""
-    return _split_ranks(X, eps, eps.bits, ~eps.bits,
-                        lambda d, black: d + 1 - black.bit_count())
+    """Nonzero ranks of the diagonal homology, keyed by (i, k): the
+    complement's horizontal homology, regraded."""
+    return dual_grading(horizontal_homology(X, eps.complement()))
 
 
 @dataclass(frozen=True)
@@ -201,26 +200,14 @@ def simplicial_homology(X: SimplicialComplex, reduced: bool = False) -> dict[int
     return _chain_ranks(dict(sorted(blocks.items())), lambda d: d - 1, -1)
 
 
-@dataclass(frozen=True)
-class GradedEulerPoly:
-    """Alternating-sum polynomial of horizontal ranks in the weight variable."""
-
-    coefficients: tuple[tuple[int, int], ...]  # (power, coefficient), ascending
-
-    @cached_property
-    def _map(self) -> dict[int, int]:
-        return dict(self.coefficients)
-
-    def coefficient(self, k: int) -> int:
-        return self._map.get(k, 0)
-
-    def __call__(self, t: int) -> int:
-        return sum(c * t ** k for k, c in self.coefficients)
-
-
-def graded_euler(X: SimplicialComplex, eps: Colouring) -> GradedEulerPoly:
+def graded_euler(X: SimplicialComplex, eps: Colouring) -> dict[int, int]:
+    """Nonzero coefficients of the graded Euler polynomial
+    sum_k (sum_i (-1)^i rank H_(i,k)) t^k, keyed by k ascending.  The
+    horizontal differential keeps the weight, so by Euler-Poincare the
+    coefficient at k is the signed count of the simplices of weight k."""
+    eps.check_length(X.vertex_count)
     coeffs: dict[int, int] = {}
-    for (i, k), r in horizontal_homology(X, eps).items():
-        coeffs[k] = coeffs.get(k, 0) + (r if i % 2 == 0 else -r)
-    return GradedEulerPoly(tuple(sorted((k, c) for k, c in coeffs.items() if c)))
-
+    for s in X.simplices:
+        k = (s & ~eps.bits).bit_count()
+        coeffs[k] = coeffs.get(k, 0) + (1 if s.bit_count() % 2 else -1)
+    return {k: c for k, c in sorted(coeffs.items()) if c}

@@ -84,10 +84,6 @@ class SimplicialComplex:
             groups.setdefault(dim_of(s), []).append(s)
         return {d: tuple(sorted(groups[d])) for d in sorted(groups)}
 
-    @property
-    def dim(self) -> int:
-        return max(self.by_dim, default=-1)
-
     def facets(self) -> list[int]:
         """Maximal simplices in (dimension, mask) order."""
         out = []
@@ -101,7 +97,7 @@ class SimplicialComplex:
         """Relabel vertices: old index v becomes perm[v]."""
         if sorted(perm) != list(range(self.vertex_count)):
             raise ComplexError("not a permutation of the vertex universe")
-        return SimplicialComplex(
+        return SimplicialComplex.face_closed(
             self.vertex_count,
             frozenset(mask_of(perm[v] for v in vertices_of(s)) for s in self.simplices))
 
@@ -115,7 +111,7 @@ class SimplicialComplex:
         out.update((a1, a2))
         out.update(s | a1 for s in self.simplices)
         out.update(s | a2 for s in self.simplices)
-        return SimplicialComplex(self.vertex_count + 2, frozenset(out))
+        return SimplicialComplex.face_closed(self.vertex_count + 2, frozenset(out))
 
 
 def from_facets(m: int, facets) -> SimplicialComplex:
@@ -126,12 +122,15 @@ def from_facets(m: int, facets) -> SimplicialComplex:
 def _facet_masks(m: int, facets) -> list[int]:
     if not 1 <= m <= MAX_VERTICES:
         raise ComplexError(f"vertex count must be in 1..{MAX_VERTICES}, got {m}")
-    masks = [mask_of(facet) for facet in facets]
-    for f in masks:
-        if f == 0:
+    masks = []
+    for facet in facets:
+        vertices = tuple(facet)
+        if not vertices:
             raise ComplexError("empty facet")
-        if f >= 1 << m:
+        # before mask_of, so a huge or negative index never becomes a shift
+        if min(vertices) < 0 or max(vertices) >= m:
             raise ComplexError("facet vertex out of range")
+        masks.append(mask_of(vertices))
     return masks
 
 
@@ -151,7 +150,7 @@ def _closure(m: int, masks: list[int]) -> SimplicialComplex:
                 face = s ^ v
                 if face and face not in simplices:
                     stack.append(face)
-    return SimplicialComplex(m, frozenset(simplices))
+    return SimplicialComplex.face_closed(m, frozenset(simplices))
 
 
 def standard_complex(name: str, *params: int) -> SimplicialComplex:

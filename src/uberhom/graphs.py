@@ -69,15 +69,6 @@ class SimpleGraph:
     def neighbours(self, v: int) -> tuple[int, ...]:
         return tuple(vertices_of(self.adjacency[v]))
 
-    def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count()
-
-    @cached_property
-    def degree_sequence(self) -> tuple[int, ...]:
-        """Degrees in decreasing order."""
-        return tuple(sorted((self.degree(v) for v in range(self.vertex_count)),
-                            reverse=True))
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adjacency[u] >> v) & 1)
 
@@ -343,10 +334,6 @@ class Dissimilarity:
     value: Fraction | None
     first_differing_level: int | None
     theta_equivalent: bool
-
-    @property
-    def infinite(self) -> bool:
-        return self.value is None
 
     @classmethod
     def at_level(cls, m: int, j: int | None) -> "Dissimilarity":

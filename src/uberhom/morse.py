@@ -64,58 +64,6 @@ class MorseReport:
         return out
 
 
-def _is_matching(edges) -> bool:
-    seen = set()
-    for s, t in edges:
-        if s in seen or t in seen:
-            return False
-        seen.add(s)
-        seen.add(t)
-    return True
-
-
-def _matching_is_acyclic(X: SimplicialComplex, matching) -> bool:
-    """Cycle check on the face poset with matched edges reversed.
-
-    Directed cycles alternate between consecutive dimensions, so each
-    (n, n-1) layer is checked independently by topological sort.
-    """
-    matched = set(matching)
-    for n in range(1, X.dim + 1):
-        upper = X.by_dim.get(n, ())
-        adjacency: dict[int, list[int]] = {}
-        indegree: dict[int, int] = {}
-        for node in upper:
-            adjacency.setdefault(node, [])
-            indegree.setdefault(node, 0)
-        for node in X.by_dim.get(n - 1, ()):
-            adjacency.setdefault(node, [])
-            indegree.setdefault(node, 0)
-        for s in upper:
-            for v in vertices_of(s):
-                t = s ^ (1 << v)
-                if not t:
-                    continue
-                if (s, t) in matched:
-                    adjacency[t].append(s)
-                    indegree[s] += 1
-                else:
-                    adjacency[s].append(t)
-                    indegree[t] += 1
-        queue = [node for node, deg in indegree.items() if deg == 0]
-        visited = 0
-        while queue:
-            node = queue.pop()
-            visited += 1
-            for nxt in adjacency[node]:
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    queue.append(nxt)
-        if visited != len(indegree):
-            return False
-    return True
-
-
 def _criticals(X: SimplicialComplex, edges) -> tuple[int, ...]:
     touched = set()
     for s, t in edges:
@@ -126,24 +74,28 @@ def _criticals(X: SimplicialComplex, edges) -> tuple[int, ...]:
 
 
 def verify_morse(X: SimplicialComplex, eps: Colouring) -> MorseReport:
+    """Report on the induced subgraph as a discrete Morse matching.
+
+    The pairs form a matching exactly when eps is zero (no pairs) or
+    dalmatian, and a matching is always acyclic.  In a matching every
+    simplex holds at most one black vertex, so every pair is (W+v, W) with
+    W white and v the pair's only black vertex.  A down-step from W+v drops
+    a white vertex and reaches a simplex that holds v; no pair has such a
+    simplex as its lower end, so no path turns up again and there is no
+    cycle.
+    """
     edges = induced_subgraph(X, eps)
-    matching = _is_matching(edges)
-    if not matching:
+    if eps.bits and not is_dalmatian(X, eps):
         return MorseReport(edges, False, False, ())
-    acyclic = _matching_is_acyclic(X, edges)
-    return MorseReport(edges, True, acyclic, _criticals(X, edges))
+    return MorseReport(edges, True, True, _criticals(X, edges))
 
 
 def elementary_decomposition(X: SimplicialComplex,
                              eps: Colouring) -> dict[int, frozenset[Edge]]:
     """Partition of the induced subgraph's edges by the dropped black vertex."""
-    eps.check_length(X.vertex_count)
     parts: dict[int, set[Edge]] = {v: set() for v in eps.black_vertices()}
-    for s in X.simplices:
-        for v in vertices_of(s & eps.bits):
-            face = s ^ (1 << v)
-            if face:
-                parts[v].add((s, face))
+    for s, face in induced_subgraph(X, eps):
+        parts[(s ^ face).bit_length() - 1].add((s, face))
     return {v: frozenset(es) for v, es in parts.items()}
 
 

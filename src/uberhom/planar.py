@@ -173,17 +173,11 @@ class TaitGraph:
                         (x, self.face_node(f1)), (x, self.face_node(f2))))
         return tuple(out)
 
-    @cached_property
-    def edge_colours(self) -> tuple[int, ...]:
-        """1 for overlay edges touching a primal vertex, 0 for face side."""
-        return tuple(1 if slot < 2 else 0
-                     for _ in self.crossings for slot in range(4))
-
     def black_edges(self) -> list[tuple[int, int]]:
-        return [e for e, c in zip(self.overlay_edges, self.edge_colours) if c]
+        return [e for pos, e in enumerate(self.overlay_edges) if pos % 4 < 2]
 
     def white_edges(self) -> list[tuple[int, int]]:
-        return [e for e, c in zip(self.overlay_edges, self.edge_colours) if not c]
+        return [e for pos, e in enumerate(self.overlay_edges) if pos % 4 >= 2]
 
 
 def tait_graph(P: PlaneGraph) -> TaitGraph:
@@ -196,10 +190,9 @@ def tait_graph(P: PlaneGraph) -> TaitGraph:
 
 def tait_colouring(T: TaitGraph) -> Colouring:
     """Colouring of the overlay matching complex: vertex 4e+slot is the
-    slot-th overlay edge of crossing e, black for the primal half-edges."""
-    bits = 0
-    for pos, colour in enumerate(T.edge_colours):
-        bits |= colour << pos
+    slot-th overlay edge of crossing e, black for the primal half-edges
+    (slots 0 and 1)."""
+    bits = sum(0b0011 << 4 * e for e in range(T.crossing_count))
     return Colouring(bits, 4 * T.crossing_count)
 
 

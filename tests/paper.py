@@ -16,15 +16,20 @@ from uberhom import (Colouring, ColouringMismatch, PlaneGraph, SimpleGraph,
                      SimplicialComplex, dim_of, graph_as_complex, horizontal_homology,
                      is_dalmatian, mask_of, simplicial_homology, standard_complex,
                      uber_degree0_fast, uber_top_level, vertices_of)
-from uberhom.morse import MorseReport, _is_matching, _matching_is_acyclic
+from uberhom.morse import MorseReport
 from uberhom.uber import star_intersection
 
 # ---------------------------------------------------------------------------
 # complexes
 
 
+def dimension(X: SimplicialComplex) -> int:
+    """Largest simplex dimension; -1 for the void complex."""
+    return max(X.by_dim, default=-1)
+
+
 def f_vector(X: SimplicialComplex) -> tuple[int, ...]:
-    return tuple(len(X.by_dim.get(d, ())) for d in range(X.dim + 1))
+    return tuple(len(X.by_dim.get(d, ())) for d in range(dimension(X) + 1))
 
 
 def euler_characteristic(X: SimplicialComplex) -> int:
@@ -135,6 +140,11 @@ def prism_graph(m: int) -> SimpleGraph:
         for e in ((i, (i + 1) % m), (m + i, m + (i + 1) % m), (i, m + i))])
 
 
+def degree_sequence(G: SimpleGraph) -> tuple[int, ...]:
+    """Degrees in decreasing order."""
+    return tuple(sorted((a.bit_count() for a in G.adjacency), reverse=True))
+
+
 def to_networkx(G: SimpleGraph) -> nx.Graph:
     H = nx.empty_graph(G.vertex_count)
     H.add_edges_from(G.edges)
@@ -166,7 +176,7 @@ def delta_lower_bounds(G1: SimpleGraph, G2: SimpleGraph) -> dict:
 
     g = (girth(G1), girth(G2))
     c = (min_vertex_cover_size(G1), min_vertex_cover_size(G2))
-    return {"degree_seq": by_level(G1.degree_sequence, G2.degree_sequence, 1),
+    return {"degree_seq": by_level(degree_sequence(G1), degree_sequence(G2), 1),
             "girth": by_level(*g, min((x for x in g if x is not None), default=0)),
             "vertex_cover": by_level(*c, min(c))}
 
@@ -204,7 +214,7 @@ def check_top_degree(X: SimplicialComplex):
     a sphere of dimension dim X - 1, each one-white-vertex colouring splits
     into the link and the deleted star, and the top cube level is a single
     class in bidegree (dim X, 0)."""
-    n, m = X.dim, X.vertex_count
+    n, m = dimension(X), X.vertex_count
     assert n >= 1 and is_connected(X), "needs a connected complex of dimension >= 1"
     for v in range(m):
         reduced = simplicial_homology(link(X, v), reduced=True)
@@ -237,6 +247,59 @@ def check_vertex_cover_bijection(G: SimpleGraph):
         assert trivial == all(bits & mask_of(e) for e in G.edges), bits
 
 
+def is_matching(edges) -> bool:
+    """No simplex lies in two of the (simplex, facet) pairs."""
+    seen = set()
+    for s, t in edges:
+        if s in seen or t in seen:
+            return False
+        seen.add(s)
+        seen.add(t)
+    return True
+
+
+def matching_is_acyclic(X: SimplicialComplex, matching) -> bool:
+    """Cycle check on the face poset with matched edges reversed.
+
+    Directed cycles alternate between consecutive dimensions, so each
+    (n, n-1) layer is checked independently by topological sort.
+    """
+    matched = set(matching)
+    for n in range(1, dimension(X) + 1):
+        upper = X.by_dim.get(n, ())
+        adjacency: dict[int, list[int]] = {}
+        indegree: dict[int, int] = {}
+        for node in upper:
+            adjacency.setdefault(node, [])
+            indegree.setdefault(node, 0)
+        for node in X.by_dim.get(n - 1, ()):
+            adjacency.setdefault(node, [])
+            indegree.setdefault(node, 0)
+        for s in upper:
+            for v in vertices_of(s):
+                t = s ^ (1 << v)
+                if not t:
+                    continue
+                if (s, t) in matched:
+                    adjacency[t].append(s)
+                    indegree[s] += 1
+                else:
+                    adjacency[s].append(t)
+                    indegree[t] += 1
+        queue = [node for node, deg in indegree.items() if deg == 0]
+        visited = 0
+        while queue:
+            node = queue.pop()
+            visited += 1
+            for nxt in adjacency[node]:
+                indegree[nxt] -= 1
+                if indegree[nxt] == 0:
+                    queue.append(nxt)
+        if visited != len(indegree):
+            return False
+    return True
+
+
 def iterated_dalmatian(X: SimplicialComplex, stages) -> MorseReport:
     """Union of stage-wise matchings: a stage pairs each cell with its facet
     dropping a black vertex of the stage, when both are still unmatched.
@@ -256,10 +319,10 @@ def iterated_dalmatian(X: SimplicialComplex, stages) -> MorseReport:
         covered |= reach
         matched = {(s, s ^ 1 << v) for s in alive for v in vertices_of(s & eps.bits)
                    if s ^ 1 << v in alive}
-        assert _is_matching(matched), f"stage {stage}: the pairs are not a matching"
+        assert is_matching(matched), f"stage {stage}: the pairs are not a matching"
         alive -= {c for pair in matched for c in pair}
         edges |= matched
         earlier |= eps.bits
     assert covered == (1 << X.vertex_count) - 1, "the closed stars miss a vertex"
     criticals = tuple(sorted(alive, key=lambda s: (dim_of(s), s)))
-    return MorseReport(frozenset(edges), True, _matching_is_acyclic(X, edges), criticals)
+    return MorseReport(frozenset(edges), True, matching_is_acyclic(X, edges), criticals)

@@ -1,6 +1,7 @@
 """Unit tests for the simplicial complex layer."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -55,6 +56,8 @@ def test_from_facets_closes_downward():
         from_facets(2, [(0, 5)])
     with pytest.raises(ComplexError):
         from_facets(2, [()])
+    with pytest.raises(ComplexError):  # not a bare negative-shift ValueError
+        from_facets(3, [(-1, 2)])
 
 
 def test_standard_shapes():
@@ -207,3 +210,15 @@ def test_read_complex_errors():
     for bad in ["", "abc\n0 1\n", "3\n0 x\n", "3\n-1 2\n", "2\n0 5\n"]:
         with pytest.raises(ParseError):
             read_complex(bad)
+
+
+def test_read_complex_range_check_builds_no_mask():
+    """An out-of-range index is refused before it becomes a 1 << index mask."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="facet vertex out of range"):
+            read_complex("3\n0 1 100000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

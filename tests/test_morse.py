@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from uberhom import (
     Colouring,
@@ -18,7 +19,8 @@ from uberhom import (
 )
 from uberhom.morse import induced_subgraph
 
-from paper import iterated_dalmatian
+from paper import is_matching, iterated_dalmatian, matching_is_acyclic
+from test_uber import small_complexes
 
 
 def brute_is_dalmatian(X, eps) -> bool:
@@ -81,6 +83,21 @@ def test_dalmatian_iff_morse_matching(suite):
             assert report.is_morse_matching  # vacuously: no edges
             continue
         assert report.is_morse_matching == is_dalmatian(X, eps), (name, str(eps))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(small_complexes())
+def test_morse_report_matches_general_checks(X):
+    """On every colouring, the report's matching flag is the brute-force
+    matching test of the induced pairs, and its acyclicity flag is the
+    general cycle check on them."""
+    m = X.vertex_count
+    for bits in range(1 << m):
+        eps = Colouring(bits, m)
+        report = verify_morse(X, eps)
+        edges = induced_subgraph(X, eps)
+        assert report.is_matching == brute_matching(edges) == is_matching(edges)
+        assert report.is_acyclic == (report.is_matching and matching_is_acyclic(X, edges))
 
 
 def test_critical_cells_give_homology(suite):

@@ -157,20 +157,21 @@ def test_tait_graph_structure(planes):
         assert T.primal_count == V and T.face_count == F
         assert T.crossing_count == E
         assert len(T.overlay_edges) == 4 * E, name
-        assert len(T.edge_colours) == 4 * E
         # per crossing: two black overlay edges to the endpoints, two white
         # ones to the side faces
+        blacks, whites = [], []
         for e, (u, v, f1, f2) in enumerate(T.crossings):
             x = T.crossing_node(e)
             quad = T.overlay_edges[4 * e:4 * e + 4]
             assert quad == ((x, u), (x, v),
                             (x, T.face_node(f1)), (x, T.face_node(f2))), name
-            assert T.edge_colours[4 * e:4 * e + 4] == (1, 1, 0, 0)
+            blacks += quad[:2]
+            whites += quad[2:]
             assert {f1, f2} == set(P.edge_sides(u, v)), name
-        blacks = [oe for oe, c in zip(T.overlay_edges, T.edge_colours) if c]
-        whites = [oe for oe, c in zip(T.overlay_edges, T.edge_colours) if not c]
-        assert list(T.black_edges()) == blacks
-        assert list(T.white_edges()) == whites
+        assert T.black_edges() == blacks and T.white_edges() == whites
+        # the colouring blackens exactly the black edges' positions
+        bits = tait_colouring(T).bits
+        assert [oe for pos, oe in enumerate(T.overlay_edges) if bits >> pos & 1] == blacks
 
 
 def test_bridge_gives_parallel_white_edges(planes):
