@@ -70,9 +70,8 @@ def _blocks(X: SimplicialComplex, eps: Colouring) -> dict[tuple[int, int], list[
     """(dimension, weight) -> ascending simplex masks."""
     eps.check_length(X.vertex_count)
     blocks: dict[tuple[int, int], list[int]] = {}
-    for d, masks in X.by_dim.items():
-        for s in masks:
-            blocks.setdefault((d, (s & ~eps.bits).bit_count()), []).append(s)
+    for s in sorted(X.simplices):
+        blocks.setdefault((s.bit_count() - 1, (s & ~eps.bits).bit_count()), []).append(s)
     return blocks
 
 
@@ -177,14 +176,13 @@ def filtered_homology(X: SimplicialComplex, eps: Colouring, k: int) -> dict[int,
     eps.check_length(X.vertex_count)
     if k < 0:
         return {}
-    by_dim: dict[int, list[int]] = {}
-    for d, masks in X.by_dim.items():
-        kept = [s for s in masks if (s & ~eps.bits).bit_count() <= k]
-        if kept:
-            by_dim[d] = kept
     # a face never has more white vertices than its simplex, so the kept
     # simplices form a subcomplex
-    return _chain_ranks(by_dim, lambda d: d - 1, -1)
+    blocks: dict[int, list[int]] = {}
+    for s in X.simplices:
+        if (s & ~eps.bits).bit_count() <= k:
+            blocks.setdefault(s.bit_count() - 1, []).append(s)
+    return _chain_ranks(blocks, lambda d: d - 1, -1)
 
 
 def simplicial_homology(X: SimplicialComplex, reduced: bool = False) -> dict[int, int]:

@@ -2,14 +2,16 @@
 
 A simplex is a nonempty bitmask over vertex indices; the universe is capped
 at 64 vertices so every simplex fits in one machine word.  Complexes are
-immutable and face-closed; a complex may be void (zero simplices, as for an
-empty matching complex) while keeping the ambient universe.
+immutable and face-closed by construction: each builder closes or filters
+its simplex set so that it stays closed, unchecked at run time, and
+`tests/paper.checked_complex` asserts it for every builder.  A complex may
+be void (zero simplices, as for an empty matching complex) while keeping
+the ambient universe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 from .errors import CapExceeded, ComplexError, ParseError
@@ -40,49 +42,15 @@ def dim_of(mask: int) -> int:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Face-closed set of simplices over vertices 0..vertex_count-1."""
+    """Face-closed set of simplices over vertices 0..vertex_count-1, closed
+    by construction and not checked here (`tests/paper.checked_complex`)."""
 
     vertex_count: int
     simplices: frozenset[int]
 
-    def __post_init__(self):
-        if not 1 <= self.vertex_count <= MAX_VERTICES:
-            raise ComplexError(
-                f"vertex count must be in 1..{MAX_VERTICES}, got {self.vertex_count}")
-        universe = (1 << self.vertex_count) - 1
-        for s in self.simplices:
-            if s == 0:
-                raise ComplexError("the empty simplex is not stored")
-            if s & ~universe:
-                raise ComplexError("simplex uses a vertex outside the universe")
-            # face closure need only be checked one codimension down
-            m = s
-            while m:
-                v = m & -m
-                m &= m - 1
-                face = s ^ v
-                if face and face not in self.simplices:
-                    raise ComplexError("simplex set is not face-closed")
-
-    @classmethod
-    def face_closed(cls, vertex_count: int, simplices: frozenset) -> "SimplicialComplex":
-        """Trusted constructor for valid simplex sets face-closed by construction."""
-        X = object.__new__(cls)
-        object.__setattr__(X, "vertex_count", vertex_count)
-        object.__setattr__(X, "simplices", simplices)
-        return X
-
     @property
     def is_void(self) -> bool:
         return not self.simplices
-
-    @cached_property
-    def by_dim(self) -> dict[int, tuple[int, ...]]:
-        """Simplices grouped by dimension, masks ascending within a group."""
-        groups: dict[int, list[int]] = {}
-        for s in self.simplices:
-            groups.setdefault(dim_of(s), []).append(s)
-        return {d: tuple(sorted(groups[d])) for d in sorted(groups)}
 
     def facets(self) -> list[int]:
         """Maximal simplices in (dimension, mask) order."""
@@ -97,7 +65,7 @@ class SimplicialComplex:
         """Relabel vertices: old index v becomes perm[v]."""
         if sorted(perm) != list(range(self.vertex_count)):
             raise ComplexError("not a permutation of the vertex universe")
-        return SimplicialComplex.face_closed(
+        return SimplicialComplex(
             self.vertex_count,
             frozenset(mask_of(perm[v] for v in vertices_of(s)) for s in self.simplices))
 
@@ -111,7 +79,7 @@ class SimplicialComplex:
         out.update((a1, a2))
         out.update(s | a1 for s in self.simplices)
         out.update(s | a2 for s in self.simplices)
-        return SimplicialComplex.face_closed(self.vertex_count + 2, frozenset(out))
+        return SimplicialComplex(self.vertex_count + 2, frozenset(out))
 
 
 def from_facets(m: int, facets) -> SimplicialComplex:
@@ -150,7 +118,7 @@ def _closure(m: int, masks: list[int]) -> SimplicialComplex:
                 face = s ^ v
                 if face and face not in simplices:
                     stack.append(face)
-    return SimplicialComplex.face_closed(m, frozenset(simplices))
+    return SimplicialComplex(m, frozenset(simplices))
 
 
 def standard_complex(name: str, *params: int) -> SimplicialComplex:

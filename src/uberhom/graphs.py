@@ -17,8 +17,8 @@ from itertools import count
 
 from . import f2
 from .complexes import MAX_VERTICES, SimplicialComplex, from_facets, vertices_of
-from .errors import ComplexError, EngineError, ParseError
-from .uber import level_masks
+from .errors import CapExceeded, ComplexError, EngineError, ParseError
+from .uber import CAP_ENV_VAR, cube_cap, level_masks
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ def matching_complex_of_edges(endpoints) -> SimplicialComplex:
 
     extend(0, (1 << n) - 1)
     # every subset of a matching is a matching, so the set is face-closed
-    return SimplicialComplex.face_closed(n, frozenset(simplices))
+    return SimplicialComplex(n, frozenset(simplices))
 
 
 def matching_complex(G: SimpleGraph) -> SimplicialComplex:
@@ -365,11 +365,15 @@ def h0_graph(G: SimpleGraph) -> dict[int, int]:
     The weight-0 horizontal homology of a colouring is spanned by the
     components of the black subgraph, and the cube maps send a component to
     the component swallowing it one level up; no matrices over simplices are
-    ever formed.
+    ever formed.  The 2^m colourings are refused above the cube cap.
     """
     if not G.is_connected:
         raise ComplexError("graph homologies need a connected graph")
     m = G.vertex_count
+    limit = cube_cap()
+    if m > limit:
+        raise CapExceeded(f"graph has {m} vertices; the cube cap is {limit} "
+                          f"(override with {CAP_ENV_VAR})")
     adj = G.adjacency
     result: dict[int, int] = {}
     prev_rank = 0

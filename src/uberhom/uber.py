@@ -115,7 +115,7 @@ def _level(X: SimplicialComplex, core: frozenset, j: int) -> dict:
     for mask in level_masks(m, j):
         kept = frozenset(s for s in X.simplices if s & ~mask in core)
         level[mask] = horizontal_homology_with_bases(
-            SimplicialComplex.face_closed(m, kept), Colouring(mask, m))
+            SimplicialComplex(m, kept), Colouring(mask, m))
     return level
 
 

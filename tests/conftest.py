@@ -1,5 +1,6 @@
-"""Shared fixtures: the bundled complex suite, plane-graph fixtures, and a
-terminal summary that prints one PASS/FAIL line per acceptance criterion."""
+"""Shared fixtures: the bundled complex suite, the random small complexes of
+the property tests, plane-graph fixtures, and a terminal summary that prints
+one PASS/FAIL line per acceptance criterion."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import math
 import time
 
 import pytest
+from hypothesis import strategies as st
 
 from uberhom import (
     PlaneGraph,
@@ -61,6 +63,15 @@ SUITE = build_suite()
 @pytest.fixture(scope="session")
 def suite():
     return SUITE
+
+
+@st.composite
+def small_complexes(draw):
+    """A complex on at most 6 vertices, from up to 6 random facets."""
+    m = draw(st.integers(1, 6))
+    facets = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1),
+                           min_size=1, max_size=6))
+    return from_facets(m, facets)
 
 
 # ---------------------------------------------------------------------------

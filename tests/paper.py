@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import networkx as nx
 
-from uberhom import (Colouring, ColouringMismatch, PlaneGraph, SimpleGraph,
+from uberhom import (MAX_VERTICES, Colouring, ColouringMismatch, PlaneGraph, SimpleGraph,
                      SimplicialComplex, dim_of, graph_as_complex, horizontal_homology,
                      is_dalmatian, mask_of, simplicial_homology, standard_complex,
                      uber_degree0_fast, uber_top_level, vertices_of)
@@ -23,13 +23,38 @@ from uberhom.uber import star_intersection
 # complexes
 
 
+def checked_complex(m: int, simplices) -> SimplicialComplex:
+    """The complex on vertices 0..m-1 with these simplices, asserting what
+    every builder guarantees by construction: 1 <= m <= 64, no empty
+    simplex, no vertex outside the universe, and closure under faces (which
+    need only be checked one codimension down)."""
+    simplices = frozenset(simplices)
+    assert 1 <= m <= MAX_VERTICES, f"vertex count {m} outside 1..{MAX_VERTICES}"
+    for s in simplices:
+        assert s, "the empty simplex is not stored"
+        assert not s >> m, f"simplex {s:#b} uses a vertex outside the universe"
+        for v in vertices_of(s):
+            face = s ^ 1 << v
+            assert not face or face in simplices, f"simplex {s:#b} misses its face {face:#b}"
+    return SimplicialComplex(m, simplices)
+
+
+def by_dim(X: SimplicialComplex) -> dict[int, tuple[int, ...]]:
+    """Simplices grouped by dimension ascending, masks ascending in a group."""
+    groups: dict[int, list[int]] = {}
+    for s in sorted(X.simplices):
+        groups.setdefault(dim_of(s), []).append(s)
+    return {d: tuple(groups[d]) for d in sorted(groups)}
+
+
 def dimension(X: SimplicialComplex) -> int:
     """Largest simplex dimension; -1 for the void complex."""
-    return max(X.by_dim, default=-1)
+    return max((dim_of(s) for s in X.simplices), default=-1)
 
 
 def f_vector(X: SimplicialComplex) -> tuple[int, ...]:
-    return tuple(len(X.by_dim.get(d, ())) for d in range(dimension(X) + 1))
+    groups = by_dim(X)
+    return tuple(len(groups.get(d, ())) for d in range(dimension(X) + 1))
 
 
 def euler_characteristic(X: SimplicialComplex) -> int:
@@ -44,28 +69,28 @@ def star(X: SimplicialComplex, v: int) -> frozenset[int]:
 
 def closed_star(X: SimplicialComplex, v: int) -> SimplicialComplex:
     """Face closure of the star of v: every s with s + v in X."""
-    return SimplicialComplex(X.vertex_count,
-                             frozenset(s for s in X.simplices if s | 1 << v in X.simplices))
+    return checked_complex(X.vertex_count,
+                           (s for s in X.simplices if s | 1 << v in X.simplices))
 
 
 def link(X: SimplicialComplex, v: int) -> SimplicialComplex:
     """The closed star without the star; may be void, keeps the universe."""
-    return SimplicialComplex(X.vertex_count, closed_star(X, v).simplices - star(X, v))
+    return checked_complex(X.vertex_count, closed_star(X, v).simplices - star(X, v))
 
 
 def delete_star(X: SimplicialComplex, v: int) -> SimplicialComplex:
     """The simplices avoiding v, with the vertices above v shifted down."""
     assert X.vertex_count > 1, "cannot delete the only vertex"
     low = (1 << v) - 1
-    return SimplicialComplex(X.vertex_count - 1, frozenset(
+    return checked_complex(X.vertex_count - 1, (
         s & low | s >> 1 & ~low for s in X.simplices if not s >> v & 1))
 
 
 def cone(X: SimplicialComplex) -> SimplicialComplex:
     """Join with one new apex, the highest index."""
     apex = 1 << X.vertex_count
-    return SimplicialComplex(X.vertex_count + 1,
-                             X.simplices | {apex} | {s | apex for s in X.simplices})
+    return checked_complex(X.vertex_count + 1,
+                           X.simplices | {apex} | {s | apex for s in X.simplices})
 
 
 def barycentric_subdivision(X: SimplicialComplex) -> SimplicialComplex:
@@ -80,12 +105,12 @@ def barycentric_subdivision(X: SimplicialComplex) -> SimplicialComplex:
             if t in X.simplices:
                 chains[s] += [c | 1 << i for c in chains[t]]
             t = (t - 1) & s
-    return SimplicialComplex(len(order), frozenset(c for cs in chains.values() for c in cs))
+    return checked_complex(len(order), (c for cs in chains.values() for c in cs))
 
 
 def skeleton(X: SimplicialComplex) -> SimpleGraph:
     """The 1-skeleton of X, on its whole vertex universe."""
-    return SimpleGraph.from_edges(X.vertex_count, map(vertices_of, X.by_dim.get(1, ())))
+    return SimpleGraph.from_edges(X.vertex_count, map(vertices_of, by_dim(X).get(1, ())))
 
 
 def is_connected(X: SimplicialComplex) -> bool:
@@ -112,7 +137,7 @@ def weight(sigma: int, eps: Colouring) -> int:
 def black_subcomplex(X: SimplicialComplex, eps: Colouring):
     """The simplices whose vertices are all black, or None when there are none."""
     kept = frozenset(s for s in X.simplices if not s & ~eps.bits)
-    return SimplicialComplex(X.vertex_count, kept) if kept else None
+    return checked_complex(X.vertex_count, kept) if kept else None
 
 
 def flatten(ranks: dict) -> dict[int, int]:
@@ -265,14 +290,15 @@ def matching_is_acyclic(X: SimplicialComplex, matching) -> bool:
     (n, n-1) layer is checked independently by topological sort.
     """
     matched = set(matching)
+    groups = by_dim(X)
     for n in range(1, dimension(X) + 1):
-        upper = X.by_dim.get(n, ())
+        upper = groups.get(n, ())
         adjacency: dict[int, list[int]] = {}
         indegree: dict[int, int] = {}
         for node in upper:
             adjacency.setdefault(node, [])
             indegree.setdefault(node, 0)
-        for node in X.by_dim.get(n - 1, ()):
+        for node in groups.get(n - 1, ()):
             adjacency.setdefault(node, [])
             indegree.setdefault(node, 0)
         for s in upper:
@@ -308,11 +334,12 @@ def iterated_dalmatian(X: SimplicialComplex, stages) -> MorseReport:
     alive = set(X.simplices)
     edges: set = set()
     earlier = covered = 0
+    one_simplices = by_dim(X).get(1, ())
     for stage in stages:
         eps = Colouring(mask_of(stage), X.vertex_count)
         assert is_dalmatian(X, eps), f"stage {stage} is not dalmatian"
         reach = eps.bits
-        for e in X.by_dim.get(1, ()):
+        for e in one_simplices:
             if e & eps.bits:
                 reach |= e
         assert not reach & earlier, f"stage {stage} meets an earlier closed star"

@@ -15,8 +15,9 @@ from pathlib import Path
 import pytest
 
 import uberhom
-from uberhom import (cli, complexes, format_complex, format_plane_graph,
-                     matching_complex, parse_graph6, planar, standard_complex, uber)
+from uberhom import (SimpleGraph, cli, complexes, encode_graph6, format_complex,
+                     format_plane_graph, graphs, matching_complex, parse_graph6, planar,
+                     standard_complex, uber)
 from uberhom.cli import main
 
 from conftest import plane_fixtures
@@ -345,6 +346,30 @@ def test_graph_hom(files, capsys):
     assert report["homology"] == "h1_1"
     report = run_json(capsys, ["graph-hom", "h2", files["k4"]])
     assert report["ranks"] == {}
+
+
+def test_graph_hom_h0_cap(tmp_path, capsys, monkeypatch):
+    """graph-hom h0 refuses a graph above the cube cap before it builds any
+    colouring; a graph under the cap keeps its output."""
+    monkeypatch.delenv("UBERHOM_CAP", raising=False)
+    paths = {}
+    for m in (10, 24):
+        cycle = SimpleGraph.from_edges(m, [(i, (i + 1) % m) for i in range(m)])
+        paths[m] = tmp_path / f"cycle{m}.g6"
+        paths[m].write_text(encode_graph6(cycle) + "\n")
+    report = run_json(capsys, ["graph-hom", "h0", str(paths[10])])
+    assert (report["vertex_count"], report["ranks"]) == (10, {"08": 1})
+
+    def unreachable(m, j):
+        raise AssertionError("colourings built past the cap")
+
+    monkeypatch.setattr(graphs, "level_masks", unreachable)
+    code, out, err = run_text(capsys, ["graph-hom", "h0", str(paths[24])])
+    assert (code, out) == (4, "")
+    assert "the cube cap is 20" in err
+    monkeypatch.setenv("UBERHOM_CAP", "9")
+    code, out, err = run_text(capsys, ["graph-hom", "h0", str(paths[10])])
+    assert (code, out) == (4, "")
 
 
 def test_matching_complex_command(files, capsys):

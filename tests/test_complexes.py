@@ -4,24 +4,27 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uberhom import (
     ComplexError,
     ParseError,
-    SimplicialComplex,
     dim_of,
     format_complex,
     from_facets,
     mask_of,
+    matching_complex_of_edges,
     read_complex,
     simplicial_homology,
     standard_complex,
     vertices_of,
 )
 
+from conftest import small_complexes
 from oracles import close_downward, naive_simplicial_homology
-from paper import (barycentric_subdivision, closed_star, cone, delete_star, diameter,
-                   euler_characteristic, f_vector, is_connected, link, star)
+from paper import (barycentric_subdivision, checked_complex, closed_star, cone, delete_star,
+                   diameter, euler_characteristic, f_vector, is_connected, link, star)
 
 
 def as_vertex_sets(X):
@@ -36,14 +39,14 @@ def test_mask_helpers():
 
 
 def test_face_closure_enforced():
-    with pytest.raises(ComplexError):
-        SimplicialComplex(3, frozenset({0b111}))
-    with pytest.raises(ComplexError):
-        SimplicialComplex(2, frozenset({0}))
-    with pytest.raises(ComplexError):
-        SimplicialComplex(1, frozenset({0b10}))
-    with pytest.raises(ComplexError):
-        SimplicialComplex(0, frozenset())
+    with pytest.raises(AssertionError):
+        checked_complex(3, {0b111})
+    with pytest.raises(AssertionError):
+        checked_complex(2, {0})
+    with pytest.raises(AssertionError):
+        checked_complex(1, {0b10})
+    with pytest.raises(AssertionError):
+        checked_complex(0, ())
 
 
 def test_from_facets_closes_downward():
@@ -196,6 +199,27 @@ def test_diameter():
     assert diameter(standard_complex("path", 5)) == 5
     with pytest.raises(AssertionError):
         diameter(from_facets(3, [(0, 1)]))
+
+
+def assert_face_closed(X):
+    assert checked_complex(X.vertex_count, X.simplices) == X
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(small_complexes(), st.data())
+def test_every_construction_is_face_closed(X, data):
+    """The constructor trusts its callers; each builder's output passes
+    checked_complex: closures, relabellings, suspensions, parsed files and
+    matching complexes of edge lists with parallel edges."""
+    assert_face_closed(X)
+    assert_face_closed(X.permuted(data.draw(st.permutations(range(X.vertex_count)))))
+    assert_face_closed(X.suspension())
+    assert read_complex(format_complex(X)) == X
+    edges = data.draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5))
+                               .filter(lambda e: e[0] != e[1]), max_size=8))
+    parallel = data.draw(st.integers(0, len(edges)))
+    M = matching_complex_of_edges(edges + [(b, a) for a, b in edges[:parallel]])
+    assert_face_closed(M)
 
 
 def test_read_format_roundtrip():

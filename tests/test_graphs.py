@@ -16,7 +16,6 @@ from uberhom import (
     Dissimilarity,
     ParseError,
     SimpleGraph,
-    SimplicialComplex,
     closed_form_signature,
     dissimilarity,
     encode_graph6,
@@ -46,8 +45,8 @@ from oracles import (
     naive_dissimilarity,
     naive_min_cover,
 )
-from paper import (check_vertex_cover_bijection, degree_sequence, delta_lower_bounds,
-                   dimension, f_vector, girth, graph, maximal_spacious_trees,
+from paper import (check_vertex_cover_bijection, checked_complex, degree_sequence,
+                   delta_lower_bounds, dimension, f_vector, girth, graph, maximal_spacious_trees,
                    min_vertex_cover_size, prism_graph, spacious_trees)
 
 BULL = SimpleGraph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
@@ -167,12 +166,12 @@ def test_matching_complex_of_edges_with_parallels():
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7))
                 .filter(lambda e: e[0] != e[1]), max_size=12))
 def test_matching_complex_of_edges_against_oracle(edges):
-    """The trusted builder enumerates exactly the matchings (parallel edges
-    included) and its output passes the validating constructor unchanged."""
+    """The builder enumerates exactly the matchings (parallel edges
+    included) and its output passes checked_complex unchanged."""
     M = matching_complex_of_edges(edges)
     expected = {mask_of(m) for m in all_matchings(edges) if m}
     assert M.simplices == expected
-    assert SimplicialComplex(M.vertex_count, M.simplices) == M
+    assert checked_complex(M.vertex_count, M.simplices) == M
 
 
 def test_closed_form_signature_is_exact():

@@ -19,8 +19,8 @@ from uberhom import (
 )
 from uberhom.morse import induced_subgraph
 
-from paper import is_matching, iterated_dalmatian, matching_is_acyclic
-from test_uber import small_complexes
+from conftest import small_complexes
+from paper import by_dim, is_matching, iterated_dalmatian, matching_is_acyclic
 
 
 def brute_is_dalmatian(X, eps) -> bool:
@@ -184,7 +184,7 @@ def test_single_stage_matches_direct_morse(suite):
         covered = 0
         for v in eps.black_vertices():
             covered |= 1 << v
-            for s in X.by_dim.get(1, ()):
+            for s in by_dim(X).get(1, ()):
                 if s >> v & 1:
                     covered |= s
         if covered != (1 << X.vertex_count) - 1:

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from uberhom import (
     CapExceeded,
@@ -24,15 +23,15 @@ from uberhom import (
     uber_top_level,
     vertices_of,
     SimpleGraph,
-    SimplicialComplex,
 )
 from uberhom import f2, uber
 from uberhom.coloured import BlockHomology, horizontal_homology_with_bases
 from uberhom.uber import cube_cap, d_eta_matrix, level_masks, star_intersection
 
 import oracles
+from conftest import small_complexes
 from oracles import naive_graph_h0
-from paper import check_cone_suspension, check_top_degree, cone, graph, link
+from paper import check_cone_suspension, check_top_degree, checked_complex, cone, graph, link
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -65,15 +64,6 @@ def test_cap_enforced(monkeypatch):
 
 def frozen(mask) -> frozenset:
     return frozenset(vertices_of(mask))
-
-
-@st.composite
-def small_complexes(draw):
-    """A complex on at most 6 vertices, from up to 6 random facets."""
-    m = draw(st.integers(1, 6))
-    facets = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1),
-                           min_size=1, max_size=6))
-    return from_facets(m, facets)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -167,8 +157,8 @@ MIXED_TARGET = from_facets(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4)])
 def test_each_colouring_gets_its_core_subcomplex(monkeypatch, X):
     """uber_homology makes one horizontal_homology_with_bases call per
     colouring, on the simplices of X whose white part is empty or a face of
-    the star intersection; that set is face-closed, so the validating
-    constructor accepts it, and on some colouring it is smaller than X."""
+    the star intersection; that set is face-closed, so checked_complex
+    accepts it, and on some colouring it is smaller than X."""
     m = X.vertex_count
     core = {0, *star_intersection(X)}
     original = uber.horizontal_homology_with_bases
@@ -182,8 +172,8 @@ def test_each_colouring_gets_its_core_subcomplex(monkeypatch, X):
     uber_homology(X)
     assert sorted(bits for bits, _ in calls) == list(range(1 << m))
     for bits, Y in calls:
-        assert Y == SimplicialComplex(
-            m, frozenset(s for s in X.simplices if s & ~bits in core)), bits
+        assert Y == checked_complex(
+            m, (s for s in X.simplices if s & ~bits in core)), bits
     assert any(Y.simplices < X.simplices for _, Y in calls)
 
 
@@ -241,18 +231,28 @@ def tower_dimensions(X):
     return dims
 
 
-def test_tower_euler_identity(suite):
+def assert_tower_euler_identity(X, name=""):
     """Each tower is a finite complex, so its Euler characteristic matches
     the alternating sum of cube homology ranks level by level."""
+    uber = uber_homology(X)
+    dims = tower_dimensions(X)
+    towers = set(dims) | {(i, k) for (_, i, k) in uber}
+    for (i, k) in towers:
+        lhs = sum((-1) ** j * d for j, d in dims.get((i, k), {}).items())
+        rhs = sum((-1) ** j * r for (j, i2, k2), r in uber.items()
+                  if (i2, k2) == (i, k))
+        assert lhs == rhs, (name, i, k)
+
+
+def test_tower_euler_identity(suite):
     for name, X in small(suite):
-        uber = uber_homology(X)
-        dims = tower_dimensions(X)
-        towers = set(dims) | {(i, k) for (_, i, k) in uber}
-        for (i, k) in towers:
-            lhs = sum((-1) ** j * d for j, d in dims.get((i, k), {}).items())
-            rhs = sum((-1) ** j * r for (j, i2, k2), r in uber.items()
-                      if (i2, k2) == (i, k))
-            assert lhs == rhs, (name, i, k)
+        assert_tower_euler_identity(X, name)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(small_complexes())
+def test_tower_euler_identity_on_random_complexes(X):
+    assert_tower_euler_identity(X)
 
 
 def test_degree0_fast_path_equals_cube_slice(suite):
