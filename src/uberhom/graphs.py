@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
+from math import comb
 
-from . import f2
 from .complexes import MAX_VERTICES, SimplicialComplex, from_facets, vertices_of
-from .errors import CapExceeded, ComplexError, EngineError, ParseError
-from .uber import CAP_ENV_VAR, cube_cap, level_masks
+from .errors import CapExceeded, ComplexError, ParseError
+from .uber import CAP_ENV_VAR, _check_cap, cube_cap, cube_ranks, level_masks
 
 
 @dataclass(frozen=True)
@@ -289,13 +289,20 @@ def theta(G: SimpleGraph, j: int) -> ThetaLevel:
     Every colouring's signature comes from closed_form_signature, so no
     homology is computed.  Levels 2 and up keep graph_as_complex's contract
     and raise ComplexError on a disconnected graph, although the counts hold
-    for disconnected graphs too.
+    for disconnected graphs too.  A level of C(m, j) > 2^cap colourings, more
+    than the largest cube the cube cap allows, raises CapExceeded before any
+    colouring is built.
     """
     m = G.vertex_count
     if not 0 <= j <= m:
         raise ComplexError(f"level {j} out of range for {m} vertices")
     if j >= 2 and not G.is_connected:
         raise ComplexError("graph must be connected to convert to a complex")
+    limit, size = cube_cap(), comb(m, j)
+    if size > 1 << limit:
+        raise CapExceeded(f"level {j} has C({m}, {j}) = {size} colourings; the cube "
+                          f"cap is {limit}, which allows 2^{limit} "
+                          f"(override with {CAP_ENV_VAR})")
     signatures = [closed_form_signature(G, mask) for mask in level_masks(m, j)]
     entries = tuple(sorted(
         ((j, i, k, r) for sig in signatures for i, k, r in sig), reverse=True))
@@ -364,50 +371,27 @@ def h0_graph(G: SimpleGraph) -> dict[int, int]:
 
     The weight-0 horizontal homology of a colouring is spanned by the
     components of the black subgraph, and the cube maps send a component to
-    the component swallowing it one level up; no matrices over simplices are
-    ever formed.  The 2^m colourings are refused above the cube cap.
+    the component swallowing it one level up.  These groups and maps go to
+    `uber.cube_ranks`, the engine's reducer with clearing; no matrices over
+    simplices are ever formed.  The 2^m colourings are refused above the
+    cube cap.
     """
     if not G.is_connected:
         raise ComplexError("graph homologies need a connected graph")
     m = G.vertex_count
-    limit = cube_cap()
-    if m > limit:
-        raise CapExceeded(f"graph has {m} vertices; the cube cap is {limit} "
-                          f"(override with {CAP_ENV_VAR})")
+    _check_cap(m)
     adj = G.adjacency
-    result: dict[int, int] = {}
-    prev_rank = 0
-    cur = {mask: _black_components_with_roots(adj, mask)
-           for mask in level_masks(m, 0)}
-    for j in range(m + 1):
-        nxt = ({mask: _black_components_with_roots(adj, mask)
-                for mask in level_masks(m, j + 1)} if j < m else {})
-        offsets = {}
-        total = 0
-        for mask in sorted(nxt):
-            offsets[mask] = total
-            total += len(nxt[mask][0])
-        columns = []
-        full = (1 << m) - 1
-        for mask in sorted(cur):
-            roots, _ = cur[mask]
-            for r in roots:
-                col = 0
-                for v in vertices_of(~mask & full):
-                    tmask = mask | (1 << v)
-                    troots, troot = nxt[tmask]
-                    col ^= 1 << (offsets[tmask] + troots.index(troot[r]))
-                columns.append(col)
-        dim = sum(len(roots) for roots, _ in cur.values())
-        rank = f2.rank_of(columns) if j < m else 0
-        h = dim - rank - prev_rank
-        if h < 0:
-            raise EngineError("cube differential ranks exceed the level dimension")
-        if h:
-            result[j] = h
-        prev_rank = rank
-        cur = nxt
-    return result
+
+    def level(j):
+        return {mask: {(0, 0): _black_components_with_roots(adj, mask)}
+                for mask in level_masks(m, j)}
+
+    def edge(source, target, v):
+        troots, troot = target
+        return [1 << troots.index(troot[r]) for r in source[0]]
+
+    ranks = cube_ranks(m, level, lambda comps: len(comps[0]), edge)
+    return {j: r for (j, _), r in ranks.items()}
 
 
 def h1_0(G: SimpleGraph) -> dict[int, int]:

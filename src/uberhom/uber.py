@@ -19,11 +19,13 @@ simplices of core white part form a subcomplex; its cube is a direct
 summand of the whole cube with an acyclic complement, and each colouring's
 homology is taken on that subcomplex alone.
 
-Levels are reduced in a streaming fashion (only two adjacent levels are
-ever held), with clearing (Chen and Kerber, "Persistent homology
-computation with a twist", EuroCG 2011): a source position that is the
-lowest bit of an image row of the previous differential is skipped, since
-that row is a boundary and the differential kills it.
+One reducer, `cube_ranks`, takes the homology of every colour cube here
+and in `graphs.h0_graph`.  It holds two adjacent levels at a time and
+clears (Chen and Kerber, "Persistent homology computation with a twist",
+EuroCG 2011): a source position that is the lowest bit of an image row of
+the previous differential is skipped, since that row is a boundary and the
+differential kills it.  Clearing needs only d^2 = 0, so it holds for the
+black-component cube of `h0_graph` as for the block cube here.
 
 Each colouring's blocks come from one `horizontal_homology_with_bases`
 call, and the cube edge maps go through `d_eta_matrix`, because the
@@ -63,12 +65,12 @@ def cube_cap(override: int | None = None) -> int:
     return DEFAULT_CUBE_CAP
 
 
-def _check_cap(X: SimplicialComplex, cap: int | None):
+def _check_cap(m: int, cap: int | None = None):
+    """Refuse a full cube on m vertices above the cube cap."""
     limit = cube_cap(cap)
-    if X.vertex_count > limit:
-        raise CapExceeded(
-            f"complex has {X.vertex_count} vertices; the cube cap is {limit} "
-            f"(override with --cap or {CAP_ENV_VAR})")
+    if m > limit:
+        raise CapExceeded(f"input has {m} vertices; the cube cap is {limit} "
+                          f"(override with {CAP_ENV_VAR})")
 
 
 _ZERO_BLOCK = BlockHomology((), f2.homology_at([], [], 0))  # a missing target block
@@ -125,55 +127,86 @@ def _core(X: SimplicialComplex) -> frozenset:
     return frozenset((0, *star_intersection(X)))
 
 
-def _layout(level: dict, bidegrees) -> tuple[dict, dict]:
-    """Direct-sum layout of a level: {bidegree: {mask: offset}} and
-    {bidegree: dimension}, over the wanted bidegrees; blocks of rank 0 are
-    left out."""
+def _layout(level: dict, rank, towers) -> tuple[dict, dict]:
+    """Direct-sum layout of a level: {tower: {mask: offset}} and
+    {tower: dimension}, over the wanted towers; groups of rank 0 are left
+    out."""
     layout: dict = {}
     dims: dict = {}
-    for mask, blocks in level.items():
-        for bg, blk in blocks.items():
-            if blk.hom.rank and (bidegrees is None or bg in bidegrees):
-                start = dims.get(bg, 0)
-                layout.setdefault(bg, {})[mask] = start
-                dims[bg] = start + blk.hom.rank
+    for mask, groups in level.items():
+        for tw, group in groups.items():
+            r = rank(group)
+            if r and (towers is None or tw in towers):
+                start = dims.get(tw, 0)
+                layout.setdefault(tw, {})[mask] = start
+                dims[tw] = start + r
     return layout, dims
 
 
-def _differential_ranks(m: int, cur: dict, cur_layout: dict, nxt: dict,
-                        nxt_layout: dict, cleared: dict) -> tuple[dict, dict]:
-    """Rank, per bidegree, of the cube differential from level cur to nxt,
-    and the pivot positions of its image.
+def cube_ranks(m: int, level, rank, edge, towers=None) -> dict:
+    """Homology ranks {(j, tower): rank} of a colour cube on m vertices.
 
-    Source positions in cleared[bidegree], the image pivots of the previous
-    differential, are skipped (clearing): the image rows with those lowest
-    bits, plus the unit vectors at the other positions, are a basis of the
-    level, and this differential kills the image rows.
+    level(j) gives {colouring mask: {tower: group}} over the colourings of
+    weight j, rank(group) the group's dimension, and edge(source, target, v)
+    the columns, one per source class in target coordinates, of the cube
+    edge blackening v; target is None where that colouring has no group in
+    the tower.  towers, when given, restricts the computation to them.
+
+    Per tower and level, the differential to the next level is one matrix
+    over the direct sum of the groups.  Source positions that are image
+    pivots of the previous differential are skipped (clearing): the image
+    rows with those lowest bits, plus the unit vectors at the other
+    positions, are a basis of the level, and d^2 = 0 kills the image rows.
     """
     full = (1 << m) - 1
-    ranks: dict = {}
-    pivots: dict = {}
-    for bg, sources in cur_layout.items():
-        targets = nxt_layout.get(bg, {})
-        skip = cleared.get(bg, ())
-        columns = []
-        for mask, start in sources.items():
-            blk = cur[mask][bg]
-            kept = [c for c in range(blk.hom.rank) if start + c not in skip]
-            if not kept:
-                continue
-            cols = [0] * len(kept)
-            for v in vertices_of(~mask & full):
-                t = mask | 1 << v
-                mat = d_eta_matrix(blk, nxt[t].get(bg), v)
-                if mat.rows:
-                    shift = targets[t]
-                    for n, c in enumerate(kept):
-                        cols[n] ^= mat.columns[c] << shift
-            columns.extend(cols)
-        found = pivots[bg] = {}
-        ranks[bg] = f2.rank_of(columns, pivots=found)
-    return ranks, {bg: set(found) for bg, found in pivots.items()}
+    result: dict = {}
+    prev_rank: dict = {}
+    cleared: dict = {}
+    cur = level(0)
+    cur_layout, cur_dims = _layout(cur, rank, towers)
+    for j in range(m + 1):
+        nxt = level(j + 1) if j < m else {}
+        nxt_layout, nxt_dims = _layout(nxt, rank, towers)
+        ranks: dict = {}
+        pivots: dict = {}
+        for tw, sources in cur_layout.items():
+            targets = nxt_layout.get(tw, {})
+            skip = cleared.get(tw, ())
+            columns = []
+            for mask, start in sources.items():
+                group = cur[mask][tw]
+                kept = [c for c in range(rank(group)) if start + c not in skip]
+                if not kept:
+                    continue
+                cols = [0] * len(kept)
+                for v in vertices_of(~mask & full):
+                    t = mask | 1 << v
+                    image = edge(group, nxt[t].get(tw), v)
+                    shift = targets.get(t)
+                    if shift is not None:
+                        for n, c in enumerate(kept):
+                            cols[n] ^= image[c] << shift
+                columns.extend(cols)
+            found = pivots[tw] = {}
+            ranks[tw] = f2.rank_of(columns, pivots=found)
+        for tw, dim in cur_dims.items():
+            r = dim - ranks.get(tw, 0) - prev_rank.get(tw, 0)
+            if r < 0:
+                raise EngineError("cube differential ranks exceed the level dimension")
+            if r:
+                result[(j, tw)] = r
+        prev_rank, cleared = ranks, pivots
+        cur, cur_layout, cur_dims = nxt, nxt_layout, nxt_dims
+    return result
+
+
+def _block_rank(blk: BlockHomology) -> int:
+    return blk.hom.rank
+
+
+def _edge_columns(source: BlockHomology, target: BlockHomology | None,
+                  v: int) -> tuple[int, ...]:
+    return d_eta_matrix(source, target, v).columns
 
 
 def uber_homology(X: SimplicialComplex, cap: int | None = None,
@@ -185,27 +218,11 @@ def uber_homology(X: SimplicialComplex, cap: int | None = None,
     """
     if X.is_void:
         return {}
-    _check_cap(X, cap)
-    m = X.vertex_count
+    _check_cap(X.vertex_count, cap)
     core = _core(X)
-    result: dict = {}
-    prev_rank: dict = {}
-    cleared: dict = {}
-    cur = _level(X, core, 0)
-    cur_layout, cur_dims = _layout(cur, bidegrees)
-    for j in range(m + 1):
-        nxt = _level(X, core, j + 1) if j < m else {}
-        nxt_layout, nxt_dims = _layout(nxt, bidegrees)
-        rank, cleared = _differential_ranks(m, cur, cur_layout, nxt, nxt_layout, cleared)
-        for bg, dim in cur_dims.items():
-            r = dim - rank.get(bg, 0) - prev_rank.get(bg, 0)
-            if r < 0:
-                raise EngineError("cube differential ranks exceed the level dimension")
-            if r:
-                result[(j, bg[0], bg[1])] = r
-        prev_rank = rank
-        cur, cur_layout, cur_dims = nxt, nxt_layout, nxt_dims
-    return result
+    ranks = cube_ranks(X.vertex_count, lambda j: _level(X, core, j),
+                       _block_rank, _edge_columns, bidegrees)
+    return {(j, i, k): r for (j, (i, k)), r in ranks.items()}
 
 
 def star_intersection(X: SimplicialComplex) -> tuple[int, ...]:
@@ -233,10 +250,6 @@ def uber_top_level(X: SimplicialComplex) -> dict:
         return {}
     m = X.vertex_count
     core = _core(X)
-    below, top = _level(X, core, m - 1), _level(X, core, m)
-    top_layout, top_dims = _layout(top, None)
-    below_layout = _layout(below, None)[0]
-    ranks, _ = _differential_ranks(m, below, below_layout, top, top_layout, {})
-    return {bg: dim - ranks.get(bg, 0) for bg, dim in top_dims.items()
-            if dim > ranks.get(bg, 0)}
-
+    ranks = cube_ranks(m, lambda j: _level(X, core, j) if j >= m - 1 else {},
+                       _block_rank, _edge_columns)
+    return {bg: r for (j, bg), r in ranks.items() if j == m}

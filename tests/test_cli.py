@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -181,8 +182,14 @@ def test_uber(files, capsys):
 
 
 def test_uber_cap(files, capsys, monkeypatch):
-    code, _, err = run_text(capsys, ["uber", files["d2"], "--cap", "2"])
-    assert code == 4
+    def unreachable(X, eps):
+        raise AssertionError("colouring homology computed past the cap")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(uber, "horizontal_homology_with_bases", unreachable)
+        code, out, err = run_text(capsys, ["uber", files["d2"], "--cap", "2"])
+    assert (code, out) == (4, "")
+    assert "the cube cap is 2" in err
     monkeypatch.setenv("UBERHOM_CAP", "2")
     code, _, err = run_text(capsys, ["uber", files["d2"]])
     assert code == 4
@@ -242,6 +249,41 @@ def test_theta(files, capsys):
     assert total == 4
     code, _, err = run_text(capsys, ["theta", files["k4"]])
     assert code == 2
+
+
+def test_theta_level_bound(tmp_path, capsys, monkeypatch):
+    """theta and dissim refuse a level of more than 2^cap colourings before
+    building it; a 7-vertex corpus, compared at every level, is unchanged."""
+    monkeypatch.delenv("UBERHOM_CAP", raising=False)
+    build = graphs.level_masks
+
+    def bounded(m, j):
+        if comb(m, j) > 1 << uber.cube_cap():
+            raise AssertionError("colourings built past the cap")
+        return build(m, j)
+
+    monkeypatch.setattr(graphs, "level_masks", bounded)
+    path = tmp_path / "path40.g6"
+    path40 = encode_graph6(SimpleGraph.from_edges(40, [(i, i + 1) for i in range(39)]))
+    path.write_text(path40 + "\n")
+    code, out, err = run_text(capsys, ["theta", str(path), "--level", "20"])
+    assert (code, out) == (4, "")
+    assert "the cube cap" in err
+    path.write_text(f"{path40}\n{path40}\n")
+    monkeypatch.setenv("UBERHOM_CAP", "12")  # refused at level 3, not 6
+    code, out, err = run_text(capsys, ["dissim", str(path)])
+    assert (code, out) == (4, "")
+    monkeypatch.delenv("UBERHOM_CAP")
+    path.write_text("Flea?\nFle_O\nFz`a?\nFrSJG\nFheoW\n")  # the last two Theta-equal
+    code, out, _ = run_text(capsys, ["dissim", str(path)])
+    assert code == 0
+    assert out.splitlines() == [
+        "name1,name2,delta_num,delta_den,first_differing_level",
+        "Flea?,Fle_O,4,7,3", "Flea?,Fz`a?,6,7,1", "Flea?,FrSJG,1,1,0",
+        "Flea?,FheoW,1,1,0", "Fle_O,Fz`a?,6,7,1", "Fle_O,FrSJG,1,1,0",
+        "Fle_O,FheoW,1,1,0", "Fz`a?,FrSJG,1,1,0", "Fz`a?,FheoW,1,1,0",
+        "FrSJG,FheoW,0,1,theta-equivalent",
+    ]
 
 
 def test_dissim_csv_frozen(files, capsys):
@@ -366,7 +408,7 @@ def test_graph_hom_h0_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(graphs, "level_masks", unreachable)
     code, out, err = run_text(capsys, ["graph-hom", "h0", str(paths[24])])
     assert (code, out) == (4, "")
-    assert "the cube cap is 20" in err
+    assert "the cube cap is 20" in err and "--cap" not in err
     monkeypatch.setenv("UBERHOM_CAP", "9")
     code, out, err = run_text(capsys, ["graph-hom", "h0", str(paths[10])])
     assert (code, out) == (4, "")

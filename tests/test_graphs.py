@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uberhom import f2
 from uberhom import graphs as graphs_module
 from uberhom import (
     Colouring,
@@ -410,6 +411,31 @@ def test_h0_graph_against_oracle_and_cube():
         assert fast == naive_graph_h0(G.vertex_count, G.edges)
         cube = uber_homology(graph_as_complex(G), bidegrees=[(0, 0)])
         assert fast == {j: r for (j, _, _), r in cube.items()}
+
+
+def test_h0_graph_clears_through_the_engine_reducer(monkeypatch):
+    """h0 goes through the engine's reducer, whose clearing hands f2.rank_of
+    fewer columns than the classes on levels 0 to m-1; on the 12-vertex
+    grid it agrees with the engine's (0, 0) slice."""
+    seen = []
+    rank_of = f2.rank_of
+
+    def recorder(columns, **kwargs):
+        columns = list(columns)
+        seen.append(len(columns))
+        return rank_of(columns, **kwargs)
+
+    monkeypatch.setattr(f2, "rank_of", recorder)
+    G = graph("cycle", 10)
+    m = G.vertex_count
+    classes = sum(r for mask in range((1 << m) - 1)
+                  for i, k, r in closed_form_signature(G, mask) if (i, k) == (0, 0))
+    assert h0_graph(G) == {8: 1}
+    assert 0 < sum(seen) < classes
+    monkeypatch.undo()
+    grid = graph("grid", 3, 4)
+    cube = uber_homology(graph_as_complex(grid), bidegrees={(0, 0)})
+    assert h0_graph(grid) == {j: r for (j, _, _), r in cube.items()} == {8: 1}
 
 
 def test_specialised_homologies_are_cube_slices():
