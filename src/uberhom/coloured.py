@@ -7,10 +7,12 @@ homology here is over GF(2).
 
 The horizontal differential keeps a simplex's white part W, so its complex
 is the direct sum over W of the black chains of the link of W (reduced for
-nonempty W), shifted by |W|.  Ranks do not depend on basis order, so the
-rank-only routines eliminate one summand at a time, grouped straight from
-the unsorted simplex set.  The diagonal differential is the horizontal one
-of the complementary colouring, so diagonal homology is that, regraded.
+nonempty W), shifted by |W|.  The rank-only routines group the unsorted
+simplices by summand and reduce each chain of blocks top-down, skipping
+lowest bits of image rows from above, which are cycles completing to a basis
+(clearing; Chen and Kerber, "Persistent homology computation with a twist",
+EuroCG 2011).  The diagonal differential is the horizontal one of the
+complementary colouring, so diagonal homology is that, regraded.
 """
 
 from __future__ import annotations
@@ -75,10 +77,6 @@ def _blocks(X: SimplicialComplex, eps: Colouring) -> dict[tuple[int, int], list[
     return blocks
 
 
-def _index(blocks) -> dict:
-    return {key: {s: p for p, s in enumerate(masks)} for key, masks in blocks.items()}
-
-
 def _boundary_columns(masks, target: dict[int, int], droppable: int):
     """Columns of the boundary part that drops one droppable vertex, one per
     simplex; target indexes the faces, which must all lie in it."""
@@ -96,23 +94,25 @@ def _chain_ranks(blocks: dict, down, droppable: int) -> dict:
     """Nonzero homology ranks of a chain complex of simplex blocks.
 
     The differential drops one droppable vertex and maps block key to block
-    down(key); a block whose target is absent maps to zero.  Columns are
-    streamed into the rank, so no block's matrix is ever held.
+    down(key); a block whose target is absent maps to zero.  Each chain is
+    reduced from its top down, skipping the simplices at the lowest bits P
+    of the image rows r_p of the block above (Chen-Kerber clearing): d^2 = 0
+    makes the r_p cycles, and with the e_q, q not in P, they form a basis, so
+    the kept columns span the image.  Only the block just reduced passes
+    its pivot positions down, and each target is indexed on arrival.
     """
-    index = _index(blocks)
-    out_rank: dict = {}
-    in_rank: dict = {}
-    for key, masks in blocks.items():
-        below = down(key)
-        if below in index:
-            r = f2.rank_of(_boundary_columns(masks, index[below], droppable))
-            out_rank[key] = in_rank[below] = r
-    result = {}
-    for key, masks in blocks.items():
-        h = len(masks) - out_rank.get(key, 0) - in_rank.get(key, 0)
-        if h:
-            result[key] = h
-    return result
+    out_rank, in_rank = {}, {}
+    for key in blocks.keys() - {down(k) for k in blocks}:
+        cleared = set()
+        while (below := down(key)) in blocks:
+            target = {s: p for p, s in enumerate(blocks[below])}
+            kept = (s for p, s in enumerate(blocks[key]) if p not in cleared)
+            pivots: dict = {}
+            out_rank[key] = in_rank[below] = f2.rank_of(
+                _boundary_columns(kept, target, droppable), pivots=pivots)
+            cleared, key = set(pivots), below
+    return {key: h for key, masks in blocks.items()
+            if (h := len(masks) - out_rank.get(key, 0) - in_rank.get(key, 0))}
 
 
 def horizontal_homology(X: SimplicialComplex, eps: Colouring) -> dict:
@@ -154,7 +154,7 @@ def horizontal_homology_with_bases(X: SimplicialComplex,
     """Per-bigrading homology with representative cycles (all blocks kept,
     including rank 0, so cube assembly can look up any bigrading)."""
     blocks = _blocks(X, eps)
-    index = _index(blocks)
+    index = {key: {s: p for p, s in enumerate(masks)} for key, masks in blocks.items()}
     cycles: dict = {}
     boundaries: dict = {}
     for (i, k), masks in blocks.items():
@@ -174,8 +174,6 @@ def filtered_homology(X: SimplicialComplex, eps: Colouring, k: int) -> dict[int,
     """Homology of the weight-at-most-k truncation under the full boundary;
     singly graded by dimension."""
     eps.check_length(X.vertex_count)
-    if k < 0:
-        return {}
     # a face never has more white vertices than its simplex, so the kept
     # simplices form a subcomplex
     blocks: dict[int, list[int]] = {}
@@ -195,7 +193,7 @@ def simplicial_homology(X: SimplicialComplex, reduced: bool = False) -> dict[int
     blocks: dict[int, list[int]] = {-1: [0]} if reduced else {}
     for s in X.simplices:
         blocks.setdefault(s.bit_count() - 1, []).append(s)
-    return _chain_ranks(dict(sorted(blocks.items())), lambda d: d - 1, -1)
+    return _chain_ranks(blocks, lambda d: d - 1, -1)
 
 
 def graded_euler(X: SimplicialComplex, eps: Colouring) -> dict[int, int]:

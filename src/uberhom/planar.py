@@ -247,7 +247,9 @@ def theorem42_verify(P: PlaneGraph) -> dict:
     Left side: horizontal homology of the coloured overlay matching complex,
     built in full and grouped by filtration level k.  Right side:
     overlay_ranks, which sums survivor homologies over white matchings and
-    never builds the overlay, so the two sides are computed independently.
+    never builds the overlay.  The two sides reduce independent complexes
+    on one shared rank kernel, `coloured._chain_ranks`; the tests check that
+    kernel against brute-force oracles on the overlays of small graphs.
     """
     T = tait_graph(P)
     M, eps = tait_matching_complex(T)

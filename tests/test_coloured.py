@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uberhom import coloured
 from uberhom import (
     Colouring,
     ColouringMismatch,
@@ -140,6 +141,35 @@ def test_homology_matches_oracles_on_random_complexes(case):
     for reduced in (False, True):
         assert simplicial_homology(X, reduced=reduced) == \
             naive_simplicial_homology(facets, reduced=reduced)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(coloured_complexes())
+def test_filtered_homology_matches_oracle(case):
+    """Every truncation, from the empty one at k = -1 to all of X at k = m,
+    against the brute-force homology of its simplices."""
+    X, eps = case
+    for k in range(-1, X.vertex_count + 1):
+        kept = [vertices_of(s) for s in X.simplices if weight(s, eps) <= k]
+        assert filtered_homology(X, eps, k) == naive_simplicial_homology(kept), k
+
+
+def test_rank_only_homology_clears(monkeypatch):
+    """Each chain is reduced top-down, skipping the simplices that are
+    pivots of the image from the dimension above.  On the boundary of the
+    8-simplex that leaves sum(rank d) + sum(h in dimension >= 1) = 254 + 1
+    columns, not all 501 simplices of dimension >= 1."""
+    columns = []
+    original = coloured.f2.rank_of
+
+    def recording(vectors, pivots=None):
+        vectors = list(vectors)
+        columns.extend(vectors)
+        return original(vectors, pivots=pivots)
+
+    monkeypatch.setattr(coloured.f2, "rank_of", recording)
+    assert simplicial_homology(standard_complex("boundary", 8)) == {0: 1, 7: 1}
+    assert len(columns) == 255
 
 
 def summand_ranks(X, kept) -> dict[tuple[int, int], int]:

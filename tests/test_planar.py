@@ -27,7 +27,7 @@ from uberhom import (
 from uberhom.planar import tait_matching_complex
 
 from conftest import rotations_from_coordinates
-from oracles import all_matchings
+from oracles import all_matchings, naive_horizontal
 from paper import dual_graph, to_networkx
 
 SMALL = ["triangle", "square", "path2", "star3", "diamond"]
@@ -226,6 +226,18 @@ def test_overlay_ranks_against_built_overlay(planes):
     for name, P in cases.items():
         T = tait_graph(P)
         assert overlay_ranks(T) == horizontal_homology(*tait_matching_complex(T)), name
+
+
+def test_overlay_ranks_against_naive_oracle(planes):
+    """Both sides of theorem42_verify reduce through one rank kernel, so each
+    is checked against the brute-force horizontal homology of the overlay."""
+    for name in SMALL:
+        T = tait_graph(planes[name])
+        M, eps = tait_matching_complex(T)
+        facets = [vertices_of(f) for f in M.facets()]
+        expected = naive_horizontal(facets, eps.black_vertices())
+        assert overlay_ranks(T) == expected, name
+        assert horizontal_homology(M, eps) == expected, name
 
 
 def test_tait_never_enumerates_the_overlay(planes, tmp_path, capsys, monkeypatch):
