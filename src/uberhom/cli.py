@@ -6,6 +6,10 @@ so identical inputs give byte-identical output at any --jobs width); `table`
 prints aligned key/value rows and `csv` flat rows.  The `dissim` command
 defaults to the pairwise CSV corpus format.
 
+Each subcommand is declared once, in the COMMANDS table: its handler (which
+returns a JSON-ready dict), help text, options and default format.  Both
+the argument parser and the dispatch in `main` read that table.
+
 Exit codes: 0 success; 2 malformed input or colouring; 3 colouring length
 mismatch; 4 resource cap exceeded; 5 an engine invariant failed (a bug).
 """
@@ -19,9 +23,13 @@ import io
 import json
 import os
 import sys
+from collections.abc import Callable
+from functools import cache
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .coloured import (Colouring, diagonal_homology, dual_grading, filtered_homology,
                        graded_euler, horizontal_homology, horizontal_homology_with_bases)
@@ -30,8 +38,7 @@ from .errors import CapExceeded, ParseError, UberhomError
 from .graphs import (Dissimilarity, SimpleGraph, first_differing_level, h0_graph, h1_0,
                      h1_1, h2_graph, matching_complex, parse_graph6, theta,
                      theta_classes)
-from .morse import (dalmatian_closed_form, elementary_decomposition, is_dalmatian,
-                    verify_morse)
+from .morse import dalmatian_closed_form, elementary_decomposition, verify_morse
 from .planar import (overlay_ranks, parse_plane_graph, tait_colouring, tait_graph,
                      theorem42_verify)
 from .uber import level_masks, uber_degree0_fast, uber_homology
@@ -57,15 +64,11 @@ def _graded(ranks: dict) -> dict[str, int]:
     return {_dimkey(d): r for d, r in sorted(ranks.items())}
 
 
-def _read_bytes(path: str) -> bytes:
+def _load(path: str) -> tuple[str, str]:
     try:
-        return Path(path).read_bytes()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-
-
-def _load(path: str) -> tuple[str, str]:
-    raw = _read_bytes(path)
     digest = hashlib.sha256(raw).hexdigest()
     try:
         return raw.decode("utf-8"), digest
@@ -78,26 +81,20 @@ def _load_complex(path: str) -> tuple[SimplicialComplex, str]:
     return read_complex(text), digest
 
 
-def _first_payload_line(text: str, path: str) -> str:
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            return line
-    raise ParseError(f"{path} contains no graph")
+def _graph6_lines(path: str, noun: str) -> tuple[list[str], str]:
+    """The stripped graph6 lines of a file, skipping blanks and # comments;
+    a file without one is a ParseError that names what was expected."""
+    text, digest = _load(path)
+    lines = [ln for ln in map(str.strip, text.splitlines())
+             if ln and not ln.startswith("#")]
+    if not lines:
+        raise ParseError(f"{path} contains no {noun}")
+    return lines, digest
 
 
 def _load_graph(path: str) -> tuple[SimpleGraph, str]:
-    text, digest = _load(path)
-    return parse_graph6(_first_payload_line(text, path)), digest
-
-
-def _load_corpus(path: str) -> tuple[list[str], str]:
-    text, digest = _load(path)
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise ParseError(f"{path} contains no graphs")
-    return lines, digest
+    lines, digest = _graph6_lines(path, "graph")
+    return parse_graph6(lines[0]), digest
 
 
 MAX_SWEEP = 1 << 16  # colourings in one --colouring sweep
@@ -109,17 +106,14 @@ def _resolve_colourings(spec: str, m: int) -> list[Colouring]:
             raise CapExceeded(f"refusing to enumerate 2^{m} colourings; "
                               f"16 vertices is the limit for --colouring all")
         return [Colouring(bits, m) for bits in range(1 << m)]
-    if spec.startswith("elementary:"):
+    kind, colon, number = spec.partition(":")
+    if colon and kind in ("elementary", "level"):
         try:
-            v = int(spec.split(":", 1)[1])
+            j = int(number)
         except ValueError:
             raise ParseError(f"bad colouring spec {spec!r}") from None
-        return [Colouring.elementary(m, v)]
-    if spec.startswith("level:"):
-        try:
-            j = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ParseError(f"bad colouring spec {spec!r}") from None
+        if kind == "elementary":
+            return [Colouring.elementary(m, j)]
         if not 0 <= j <= m:
             raise ParseError(f"level {j} outside 0..{m}")
         if comb(m, j) > MAX_SWEEP:
@@ -139,22 +133,10 @@ def _single_colouring(spec: str, m: int) -> Colouring:
 
 
 def _generator_payload(blocks) -> dict[str, list]:
-    """Representative cycles per bigrading as lists of simplex vertex lists."""
-    out = {}
-    for (i, k), block in sorted(blocks.items()):
-        if block.hom.rank == 0:
-            continue
-        reps = []
-        for rep in block.hom.representatives:
-            chain = []
-            rest = rep
-            while rest:
-                idx = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                chain.append(list(vertices_of(block.basis[idx])))
-            reps.append(chain)
-        out[_bikey(i, k)] = reps
-    return out
+    """Representative cycles per bigrading as lists of simplex vertex tuples."""
+    return {_bikey(i, k): [[vertices_of(block.basis[p]) for p in vertices_of(rep)]
+                           for rep in block.hom.representatives]
+            for (i, k), block in sorted(blocks.items()) if block.hom.rank}
 
 
 # --- per-command handlers (each returns a JSON-ready dict) ---
@@ -167,7 +149,8 @@ def _homology_worker(args):
     return str(eps), _bigraded(ranks)
 
 
-def _run_bigraded(args, diagonal: bool) -> dict:
+def _run_bigraded(args) -> dict:
+    diagonal = args.command == "diagonal"
     X, digest = _load_complex(args.input)
     m = X.vertex_count
     colourings = _resolve_colourings(args.colouring, m)
@@ -175,9 +158,7 @@ def _run_bigraded(args, diagonal: bool) -> dict:
               "vertex_order": list(range(m))}
     if len(colourings) == 1:
         eps = colourings[0]
-        compute = diagonal_homology if diagonal else horizontal_homology
-        report["colouring"] = str(eps)
-        report["ranks"] = _bigraded(compute(X, eps))
+        report["colouring"], report["ranks"] = _homology_worker((X, eps.bits, m, diagonal))
         if args.generators:
             blocks = horizontal_homology_with_bases(
                 X, eps.complement() if diagonal else eps)
@@ -197,14 +178,6 @@ def _run_bigraded(args, diagonal: bool) -> dict:
                 results = list(pool.map(_homology_worker, work, chunksize=64))
         report["colourings"] = {name: ranks for name, ranks in sorted(results)}
     return report
-
-
-def cmd_horizontal(args) -> dict:
-    return _run_bigraded(args, diagonal=False)
-
-
-def cmd_diagonal(args) -> dict:
-    return _run_bigraded(args, diagonal=True)
 
 
 def cmd_filtered(args) -> dict:
@@ -232,14 +205,16 @@ def cmd_morse(args) -> dict:
     X, digest = _load_complex(args.input)
     eps = _single_colouring(args.colouring, X.vertex_count)
     rep = verify_morse(X, eps)
+    # the pairs form a matching exactly when eps is zero or dalmatian
+    dalmatian = eps.bits != 0 and rep.is_matching
     report = {"input_sha256": digest, "vertex_count": X.vertex_count,
               "colouring": str(eps),
               "is_matching": rep.is_matching, "is_acyclic": rep.is_acyclic,
               "is_morse_matching": rep.is_morse_matching,
-              "is_dalmatian": is_dalmatian(X, eps),
-              "critical_cells": [list(vertices_of(s)) for s in rep.critical_cells],
+              "is_dalmatian": dalmatian,
+              "critical_cells": [vertices_of(s) for s in rep.critical_cells],
               "critical_by_dim": _graded(rep.critical_by_dim())}
-    if report["is_dalmatian"]:
+    if dalmatian:
         form = dalmatian_closed_form(X, eps)
         report["closed_form_ranks"] = _bigraded(form.ranks)
     return report
@@ -249,10 +224,8 @@ def cmd_decompose(args) -> dict:
     X, digest = _load_complex(args.input)
     eps = _single_colouring(args.colouring, X.vertex_count)
     parts = elementary_decomposition(X, eps)
-    payload = {}
-    for v, edges in sorted(parts.items()):
-        payload[_dimkey(v)] = [[list(vertices_of(a)), list(vertices_of(b))]
-                               for a, b in sorted(edges)]
+    payload = {_dimkey(v): [(vertices_of(a), vertices_of(b)) for a, b in sorted(edges)]
+               for v, edges in sorted(parts.items())}
     return {"input_sha256": digest, "vertex_count": X.vertex_count,
             "colouring": str(eps), "by_dropped_vertex": payload}
 
@@ -279,10 +252,12 @@ def cmd_theta(args) -> dict:
     level = theta(G, args.level)
     return {"input_sha256": digest, "vertex_count": G.vertex_count,
             "level": args.level,
-            "entries": [list(t) for t in level.entries],
-            "aggregated": [list(t) for t in level.aggregated],
-            "signatures": [{"signature": [list(t) for t in sig], "count": c}
+            "entries": level.entries, "aggregated": level.aggregated,
+            "signatures": [{"signature": sig, "count": c}
                            for sig, c in level.signature_counts]}
+
+
+DISSIM_FIELDS = ("name1", "name2", "delta_num", "delta_den", "first_differing_level")
 
 
 def _dissim_fields(m: int | None, j: int | None) -> tuple[str, str, str]:
@@ -294,20 +269,16 @@ def _dissim_fields(m: int | None, j: int | None) -> tuple[str, str, str]:
 
 
 def cmd_dissim(args) -> dict:
-    names, digest = _load_corpus(args.input)
+    names, digest = _graph6_lines(args.input, "graphs")
     graphs = [parse_graph6(name) for name in names]  # fails fast on a bad line
     classes = theta_classes(graphs)
-    fields = {}  # (m, j) -> CSV fields, a handful per corpus
+    fields = cache(_dissim_fields)  # a handful of distinct (m, j) per corpus
     pairs = []
     for a, b in combinations(range(len(graphs)), 2):
         m = graphs[a].vertex_count
         key = ((m, first_differing_level(classes[a], classes[b]))
                if m == graphs[b].vertex_count else (None, None))
-        if key not in fields:
-            fields[key] = _dissim_fields(*key)
-        num, den, level = fields[key]
-        pairs.append({"name1": names[a], "name2": names[b], "delta_num": num,
-                      "delta_den": den, "first_differing_level": level})
+        pairs.append(dict(zip(DISSIM_FIELDS, (names[a], names[b], *fields(*key)))))
     return {"input_sha256": digest, "graph_count": len(names), "pairs": pairs}
 
 
@@ -324,7 +295,7 @@ def cmd_matching_complex(args) -> dict:
     M = matching_complex(G)
     return {"input_sha256": digest, "edge_count": G.edge_count,
             "vertex_count": M.vertex_count,
-            "facets": [list(vertices_of(f)) for f in sorted(M.facets())],
+            "facets": [vertices_of(f) for f in sorted(M.facets())],
             "text": format_complex(M)}
 
 
@@ -365,7 +336,7 @@ def _flatten(prefix: str, obj, rows: list):
         for key in obj:
             sub = f"{prefix}.{key}" if prefix else str(key)
             _flatten(sub, obj[key], rows)
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         rows.append((prefix, json.dumps(obj)))
     else:
         rows.append((prefix, obj))
@@ -375,42 +346,67 @@ def _render(report: dict, fmt: str, command: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
     if command == "dissim" and fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name1", "name2", "delta_num", "delta_den",
-                         "first_differing_level"])
-        for pair in report["pairs"]:
-            writer.writerow([pair["name1"], pair["name2"], pair["delta_num"],
-                             pair["delta_den"], pair["first_differing_level"]])
-        return buf.getvalue()
-    rows: list = []
-    _flatten("", dict(sorted(report.items())), rows)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        for key, value in rows:
-            writer.writerow([key, value])
-        return buf.getvalue()
-    width = max((len(k) for k, _ in rows), default=0)
-    return "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)
+        header, rows = DISSIM_FIELDS, map(itemgetter(*DISSIM_FIELDS), report["pairs"])
+    else:
+        rows = []
+        _flatten("", dict(sorted(report.items())), rows)
+        if fmt == "table":
+            width = max((len(k) for k, _ in rows), default=0)
+            return "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)
+        header = ("key", "value")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
-HANDLERS = {
-    "horizontal": cmd_horizontal,
-    "diagonal": cmd_diagonal,
-    "filtered": cmd_filtered,
-    "euler": cmd_euler,
-    "morse": cmd_morse,
-    "decompose": cmd_decompose,
-    "uber": cmd_uber,
-    "uber0": cmd_uber0,
-    "theta": cmd_theta,
-    "dissim": cmd_dissim,
-    "graph-hom": cmd_graph_hom,
-    "matching-complex": cmd_matching_complex,
-    "tait": cmd_tait,
-    "verify-thm42": cmd_verify_thm42,
+# --- the command table ---
+
+
+class Command(NamedTuple):
+    handler: Callable[[argparse.Namespace], dict]
+    help: str
+    options: tuple[str, ...] = ()  # keys of ARGUMENTS beyond input and --format
+    default_format: str = "json"
+
+
+# add_argument keywords of every argument a command may take, in the order
+# a command's parser adds them; every command takes input and --format
+ARGUMENTS = {
+    "which": {"choices": ("h0", "h1_0", "h1_1", "h2")},
+    "input": {"help": "input file"},
+    "--colouring": {"required": True,
+                    "help": "0/1 string, 'all', 'elementary:i', or 'level:j'"},
+    "--level": {"type": int},
+    "--cap": {"type": int, "help": "vertex cap for cube-sized computations"},
+    "--jobs": {"type": int, "default": 1},
+    "--generators": {"action": "store_true"},
+}
+
+COMMANDS = {
+    "horizontal": Command(_run_bigraded, "bigraded ranks of the black-dropping differential",
+                          ("--colouring", "--jobs", "--generators")),
+    "diagonal": Command(_run_bigraded, "bigraded ranks of the white-dropping differential",
+                        ("--colouring", "--jobs", "--generators")),
+    "filtered": Command(cmd_filtered, "homology of the weight-bounded subcomplex",
+                        ("--colouring", "--level")),
+    "euler": Command(cmd_euler, "graded Euler polynomial of a colouring", ("--colouring",)),
+    "morse": Command(cmd_morse, "matching/acyclicity report and closed form",
+                     ("--colouring",)),
+    "decompose": Command(cmd_decompose, "partition the pairing graph by dropped vertex",
+                         ("--colouring",)),
+    "uber": Command(cmd_uber, "full trigraded colour-cube ranks", ("--cap",)),
+    "uber0": Command(cmd_uber0, "degree-0 column via the star-intersection fast path"),
+    "theta": Command(cmd_theta, "level-j colouring invariant of a graph", ("--level",)),
+    "dissim": Command(cmd_dissim, "pairwise dissimilarity CSV for a graph6 corpus",
+                      ("--jobs",), "csv"),
+    "graph-hom": Command(cmd_graph_hom, "graph homologies (h0 from black components, "
+                         "the rest in closed form)", ("which",)),
+    "matching-complex": Command(cmd_matching_complex, "matching complex of a graph6 graph"),
+    "tait": Command(cmd_tait, "coloured overlay matching complex of a plane graph"),
+    "verify-thm42": Command(cmd_verify_thm42,
+                            "check the overlay decomposition level by level"),
 }
 
 
@@ -419,49 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="uberhom",
         description="Homology of colour-filtered simplicial complexes")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *, colouring=False, level=False, cap=False,
-            jobs=False, generators=False, which=False, csv_default=False):
-        p = sub.add_parser(name, help=help_text)
-        if which:
-            p.add_argument("which", choices=("h0", "h1_0", "h1_1", "h2"))
-        p.add_argument("input", help="input file")
-        if colouring:
-            p.add_argument("--colouring", required=True,
-                           help="0/1 string, 'all', 'elementary:i', or 'level:j'")
-        if level:
-            p.add_argument("--level", type=int, default=None)
-        if cap:
-            p.add_argument("--cap", type=int, default=None,
-                           help="vertex cap for cube-sized computations")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1)
-        if generators:
-            p.add_argument("--generators", action="store_true")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for arg, keywords in ARGUMENTS.items():
+            if arg == "input" or arg in command.options:
+                p.add_argument(arg, **keywords)
         p.add_argument("--format", choices=("json", "table", "csv"),
-                       default="csv" if csv_default else "json")
-        return p
-
-    add("horizontal", "bigraded ranks of the black-dropping differential",
-        colouring=True, jobs=True, generators=True)
-    add("diagonal", "bigraded ranks of the white-dropping differential",
-        colouring=True, jobs=True, generators=True)
-    add("filtered", "homology of the weight-bounded subcomplex",
-        colouring=True, level=True)
-    add("euler", "graded Euler polynomial of a colouring", colouring=True)
-    add("morse", "matching/acyclicity report and closed form", colouring=True)
-    add("decompose", "partition the pairing graph by dropped vertex",
-        colouring=True)
-    add("uber", "full trigraded colour-cube ranks", cap=True)
-    add("uber0", "degree-0 column via the star-intersection fast path")
-    add("theta", "level-j colouring invariant of a graph", level=True)
-    add("dissim", "pairwise dissimilarity CSV for a graph6 corpus",
-        jobs=True, csv_default=True)
-    add("graph-hom", "graph homologies (h0 from black components, the rest "
-        "in closed form)", which=True)
-    add("matching-complex", "matching complex of a graph6 graph")
-    add("tait", "coloured overlay matching complex of a plane graph")
-    add("verify-thm42", "check the overlay decomposition level by level")
+                       default=command.default_format)
     return parser
 
 
@@ -471,7 +431,7 @@ def main(argv=None) -> int:
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be at least 1")
     try:
-        report = HANDLERS[args.command](args)
+        report = COMMANDS[args.command].handler(args)
         report["command"] = args.command
         sys.stdout.write(_render(report, args.format, args.command))
     except UberhomError as exc:

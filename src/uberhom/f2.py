@@ -92,9 +92,9 @@ class BitMatrix:
 
     def __post_init__(self):
         if len(self.columns) != self.cols:
-            raise ValueError("column count does not match data length")
+            raise EngineError("column count does not match data length")
         if any(col >> self.rows for col in self.columns):
-            raise ValueError("column has bits beyond the row count")
+            raise EngineError("column has bits beyond the row count")
 
 
 class HomologyWithBasis:
@@ -145,8 +145,9 @@ def homology_at(cycle_rows: list[int], boundary_rows: list[int],
     """Homology with bases at a chain group of the given dimension.
 
     cycle_rows is the kernel of the outgoing boundary and boundary_rows the
-    image of the incoming one, both as `kernel_and_image` returns them.
+    image of the incoming one, both as `kernel_and_image` returns them.  A
+    row with bits beyond dim is an engine bug and raises EngineError.
     """
     if any(r >> dim for r in cycle_rows) or any(r >> dim for r in boundary_rows):
-        raise ValueError("basis row has bits beyond the chain group dimension")
+        raise EngineError("basis row has bits beyond the chain group dimension")
     return HomologyWithBasis(dim, cycle_rows, boundary_rows)

@@ -52,17 +52,21 @@ def cube_cap(override: int | None = None) -> int:
     """Effective vertex cap for full-cube computations.
 
     Resolution order: explicit override, then the UBERHOM_CAP environment
-    variable, then the built-in default.
+    variable, then the built-in default.  A negative cap, from either
+    source, is a ParseError.
     """
-    if override is not None:
-        return override
-    env = os.environ.get(CAP_ENV_VAR)
-    if env is not None:
+    cap = override
+    if cap is None:
+        env = os.environ.get(CAP_ENV_VAR)
+        if env is None:
+            return DEFAULT_CUBE_CAP
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise ParseError(f"invalid {CAP_ENV_VAR} value: {env!r}") from None
-    return DEFAULT_CUBE_CAP
+    if cap < 0:
+        raise ParseError(f"the cube cap must be at least 0, got {cap}")
+    return cap
 
 
 def _check_cap(m: int, cap: int | None = None):

@@ -14,9 +14,9 @@ import networkx as nx
 
 from uberhom import (MAX_VERTICES, Colouring, ColouringMismatch, PlaneGraph, SimpleGraph,
                      SimplicialComplex, dim_of, graph_as_complex, horizontal_homology,
-                     is_dalmatian, mask_of, simplicial_homology, standard_complex,
-                     uber_degree0_fast, uber_top_level, vertices_of)
-from uberhom.morse import MorseReport
+                     mask_of, simplicial_homology, standard_complex, uber_degree0_fast,
+                     uber_top_level, vertices_of)
+from uberhom.morse import MorseReport, is_dalmatian
 from uberhom.uber import star_intersection
 
 # ---------------------------------------------------------------------------

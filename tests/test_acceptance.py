@@ -36,7 +36,6 @@ from uberhom import (
     h1_1,
     h2_graph,
     horizontal_homology,
-    is_dalmatian,
     simplicial_homology,
     standard_complex,
     theorem42_verify,
@@ -47,7 +46,7 @@ from uberhom import (
     verify_morse,
     vertices_of,
 )
-from uberhom.morse import induced_subgraph
+from uberhom.morse import induced_subgraph, is_dalmatian
 
 # Frozen signature multisets for the two cubic 6-vertex graphs at level 2.
 # Each item is (signature, multiplicity); a signature is the descending tuple

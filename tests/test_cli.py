@@ -4,10 +4,12 @@ Most tests drive main() in-process and inspect parsed JSON; a few go through
 the installed console script to pin down exit codes in a real process.
 """
 
+import argparse
 import concurrent.futures
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from math import comb
@@ -199,6 +201,21 @@ def test_uber_cap(files, capsys, monkeypatch):
     code, _, err = run_text(capsys, ["horizontal", files["sparse"],
                                      "--colouring", "all"])
     assert code == 4  # 17 vertices exceeds the --colouring all limit
+
+
+def test_negative_cap_is_a_parse_error(files, capsys, monkeypatch):
+    """A negative cube cap, from --cap or UBERHOM_CAP, exits 2 with a message
+    on every command that reads the cap."""
+    code, out, err = run_text(capsys, ["uber", files["d2"], "--cap", "-3"])
+    assert (code, out, err) == (2, "", "uberhom: the cube cap must be at least 0, got -3\n")
+    twins = Path(files["k4"]).with_name("twins.g6")
+    twins.write_text("C~\nC~\n")
+    monkeypatch.setenv("UBERHOM_CAP", "-1")
+    for argv in (["theta", files["k4"], "--level", "0"], ["dissim", str(twins)],
+                 ["graph-hom", "h0", files["k4"]], ["uber", files["d2"]]):
+        code, out, err = run_text(capsys, argv)
+        assert (code, out, err) == (2, "", "uberhom: the cube cap must be at least 0, "
+                                    "got -1\n"), argv
 
 
 def test_level_sweep_cap(tmp_path, capsys, monkeypatch):
@@ -483,6 +500,22 @@ def test_overlay_input_contract(tmp_path, capsys, monkeypatch):
         code, out, err = run_text(capsys, [command, str(wheel9)])
         assert (code, out) == (4, "")
         assert err == "uberhom: overlay is limited to 12 edges, got 18\n"
+
+
+def test_readme_synopsis_matches_the_parser():
+    """README's synopsis line for each subcommand names exactly the options
+    its parser takes, --format aside, and only dissim defaults to CSV."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    synopsis = {line.split()[1]: line for line in block.splitlines()}
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(synopsis) == sorted(commands.choices)
+    for name, sub in commands.choices.items():
+        options = {flag for action in sub._actions for flag in action.option_strings
+                   if flag.startswith("--")} - {"--help", "--format"}
+        assert set(re.findall(r"--[a-z]+", synopsis[name])) - {"--format"} == options, name
+        assert sub.get_default("format") == ("csv" if name == "dissim" else "json"), name
 
 
 def test_table_and_csv_formats(files, capsys):

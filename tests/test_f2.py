@@ -113,9 +113,9 @@ def test_kernel_and_image_dimensions_and_membership(matrix):
 
 def test_bitmatrix_validation():
     assert BitMatrix(2, 3, (0, 1, 3)).columns == (0, 1, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(EngineError):
         BitMatrix(2, 3, (0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(EngineError):
         BitMatrix(1, 2, (1, 2))
 
 
@@ -152,9 +152,9 @@ def test_homology_at_rejects_nonsquaring_maps():
     d1 = [1, 1]
     with pytest.raises(EngineError, match="compose to zero"):
         homology_at(kernel_and_image(d1)[0], kernel_and_image(d2)[1], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(EngineError):
         homology_at([0b100], [], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(EngineError):
         homology_at([1], [0b10], 1)
 
 

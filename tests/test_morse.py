@@ -12,12 +12,11 @@ from uberhom import (
     elementary_decomposition,
     from_facets,
     horizontal_homology,
-    is_dalmatian,
     standard_complex,
     verify_morse,
     vertices_of,
 )
-from uberhom.morse import induced_subgraph
+from uberhom.morse import induced_subgraph, is_dalmatian
 
 from conftest import small_complexes
 from paper import by_dim, is_matching, iterated_dalmatian, matching_is_acyclic

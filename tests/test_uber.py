@@ -50,6 +50,12 @@ def test_cube_cap_resolution(monkeypatch):
     monkeypatch.setenv("UBERHOM_CAP", "many")
     with pytest.raises(ParseError):
         cube_cap()
+    monkeypatch.setenv("UBERHOM_CAP", "-1")
+    with pytest.raises(ParseError, match="at least 0"):
+        cube_cap()
+    assert cube_cap(0) == 0
+    with pytest.raises(ParseError, match="at least 0"):
+        cube_cap(-3)
 
 
 def test_cap_enforced(monkeypatch):
