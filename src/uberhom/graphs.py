@@ -18,7 +18,8 @@ from math import comb
 
 from .complexes import MAX_VERTICES, SimplicialComplex, from_facets, vertices_of
 from .errors import CapExceeded, ComplexError, ParseError
-from .uber import CAP_ENV_VAR, _check_cap, cube_cap, cube_ranks, level_masks
+from .uber import (CAP_ENV_VAR, _black_components_with_roots, _check_cap,
+                   _component_cube_ranks, _dominating_vertices, cube_cap, level_masks)
 
 
 @dataclass(frozen=True)
@@ -203,29 +204,6 @@ def matching_complex(G: SimpleGraph) -> SimplicialComplex:
 # Theta levels and dissimilarity
 
 
-def _black_components_with_roots(adj, bits: int):
-    """Component roots (minimum vertex, ascending) of the subgraph induced on
-    bits, and the per-vertex root lookup."""
-    roots: list[int] = []
-    root: dict[int, int] = {}
-    for v in vertices_of(bits):
-        if v in root:
-            continue
-        roots.append(v)
-        root[v] = v
-        frontier = 1 << v
-        seen = frontier
-        while frontier:
-            nxt = 0
-            for u in vertices_of(frontier):
-                nxt |= adj[u] & bits
-            frontier = nxt & ~seen
-            seen |= frontier
-            for w in vertices_of(frontier):
-                root[w] = v
-    return roots, root
-
-
 def closed_form_signature(G: SimpleGraph, bits: int) -> tuple:
     """Nonzero (i, k, rank) entries of the horizontal homology of a graph,
     computed from counts alone, sorted descending.
@@ -370,28 +348,14 @@ def h0_graph(G: SimpleGraph) -> dict[int, int]:
     """Degree-(0,0) cube homology {j: rank} via black components.
 
     The weight-0 horizontal homology of a colouring is spanned by the
-    components of the black subgraph, and the cube maps send a component to
-    the component swallowing it one level up.  These groups and maps go to
-    `uber.cube_ranks`, the engine's reducer with clearing; no matrices over
-    simplices are ever formed.  The 2^m colourings are refused above the
-    cube cap.
+    components of the black subgraph; `uber._component_cube_ranks`, which
+    `uber_homology` runs on every 1-dimensional complex, reduces their cube.
+    The 2^m colourings are refused above the cube cap.
     """
     if not G.is_connected:
         raise ComplexError("graph homologies need a connected graph")
-    m = G.vertex_count
-    _check_cap(m)
-    adj = G.adjacency
-
-    def level(j):
-        return {mask: {(0, 0): _black_components_with_roots(adj, mask)}
-                for mask in level_masks(m, j)}
-
-    def edge(source, target, v):
-        troots, troot = target
-        return [1 << troots.index(troot[r]) for r in source[0]]
-
-    ranks = cube_ranks(m, level, lambda comps: len(comps[0]), edge)
-    return {j: r for (j, _), r in ranks.items()}
+    _check_cap(G.vertex_count)
+    return _component_cube_ranks(G.vertex_count, G.adjacency)
 
 
 def h1_0(G: SimpleGraph) -> dict[int, int]:
@@ -400,8 +364,7 @@ def h1_0(G: SimpleGraph) -> dict[int, int]:
     is a class while it has no black neighbour), acyclic unless N[w] = V."""
     if not G.is_connected:
         raise ComplexError("graph homologies need a connected graph")
-    full = (1 << G.vertex_count) - 1
-    dominating = sum(1 for v, adj in enumerate(G.adjacency) if (adj | 1 << v) == full)
+    dominating = _dominating_vertices(G.adjacency)
     return {0: dominating} if dominating else {}
 
 

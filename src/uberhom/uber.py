@@ -19,19 +19,31 @@ simplices of core white part form a subcomplex; its cube is a direct
 summand of the whole cube with an acyclic complement, and each colouring's
 homology is taken on that subcomplex alone.
 
-One reducer, `cube_ranks`, takes the homology of every colour cube here
-and in `graphs.h0_graph`.  It holds two adjacent levels at a time and
+A 1-dimensional X that is not a simplex needs no block homology
+(`_graph_cube`).  A core W's summand is the double complex of the chains
+of lk(W)[S] over the black sets S of V - W (reduced for W nonempty), with
+inclusions as cube maps.  Its total complex is acyclic, as each simplex s
+lies in the full cube of the S containing s (s + W is not V), so the
+level filtration's spectral sequence, whose E2 page is the towers,
+converges to zero.  lk(W) has chains in two adjacent dimensions only (W
+is empty or a dominating vertex), so d2, from level j of row i to level
+j + 2 of row i + 1, is an isomorphism: towers (1, 0) and (1, 1) are
+(0, 0), the black-component cube, and (0, 1), the dominating vertices at
+level 0, two levels up.  A vertex outside X makes every tower acyclic.
+
+One reducer, `cube_ranks`, takes the homology of every colour cube: the
+block cube and the black-component cube (`_component_cube_ranks`, also
+behind `graphs.h0_graph`).  It holds two adjacent levels at a time and
 clears (Chen and Kerber, "Persistent homology computation with a twist",
 EuroCG 2011): a source position that is the lowest bit of an image row of
 the previous differential is skipped, since that row is a boundary and the
-differential kills it.  Clearing needs only d^2 = 0, so it holds for the
-black-component cube of `h0_graph` as for the block cube here.
+differential kills it.  Clearing needs only d^2 = 0, so it holds for both.
 
-Each colouring's blocks come from one `horizontal_homology_with_bases`
-call, and the cube edge maps go through `d_eta_matrix`, because the
-benchmark's tracing counts both by name.  A closed form for the bottom of
-the cube and a two-level shortcut for its top are provided alongside the
-full computation.
+For every other X each colouring's blocks come from one
+`horizontal_homology_with_bases` call, and the cube edge maps go through
+`d_eta_matrix`, because the benchmark's tracing counts both by name.  A
+closed form for the bottom of the cube and a two-level shortcut for its
+top are provided alongside the full computation.
 """
 
 from __future__ import annotations
@@ -223,10 +235,78 @@ def uber_homology(X: SimplicialComplex, cap: int | None = None,
     if X.is_void:
         return {}
     _check_cap(X.vertex_count, cap)
+    if ((1 << X.vertex_count) - 1 not in X.simplices
+            and all(s.bit_count() <= 2 for s in X.simplices)):
+        return _graph_cube(X, bidegrees)
+    return _engine_cube(X, bidegrees)
+
+
+def _engine_cube(X: SimplicialComplex, bidegrees=None, lowest: int = 0) -> dict:
+    """uber_homology of a nonvoid X from per-colouring block homology, with
+    the levels below lowest left empty."""
     core = _core(X)
-    ranks = cube_ranks(X.vertex_count, lambda j: _level(X, core, j),
+    ranks = cube_ranks(X.vertex_count, lambda j: _level(X, core, j) if j >= lowest else {},
                        _block_rank, _edge_columns, bidegrees)
     return {(j, i, k): r for (j, (i, k)), r in ranks.items()}
+
+
+def _graph_cube(X: SimplicialComplex, bidegrees=None) -> dict:
+    """uber_homology of a nonvoid 1-dimensional X that is not a simplex: tower
+    (i, k) is the bottom row's tower (0, k), 2i levels up (module docstring)."""
+    m = X.vertex_count
+    if any(1 << v not in X.simplices for v in range(m)):
+        return {}
+    adj = [sum(1 << u for u in range(m) if u != v and (1 << u | 1 << v) in X.simplices)
+           for v in range(m)]
+    wanted = [(i, k) for i in (0, 1) for k in (0, 1)
+              if bidegrees is None or (i, k) in bidegrees]
+    bottom = {0: _component_cube_ranks(m, adj) if {(0, 0), (1, 0)} & set(wanted) else {},
+              1: {0: _dominating_vertices(adj)}}
+    return {(j + 2 * i, i, k): r for i, k in wanted for j, r in bottom[k].items() if r}
+
+
+def _black_components_with_roots(adj, bits: int):
+    """Component roots (minimum vertex, ascending) of the subgraph induced on
+    bits, and the per-vertex root lookup."""
+    roots: list[int] = []
+    root: dict[int, int] = {}
+    for v in vertices_of(bits):
+        if v in root:
+            continue
+        roots.append(v)
+        root[v] = v
+        frontier = 1 << v
+        seen = frontier
+        while frontier:
+            nxt = 0
+            for u in vertices_of(frontier):
+                nxt |= adj[u] & bits
+            frontier = nxt & ~seen
+            seen |= frontier
+            for w in vertices_of(frontier):
+                root[w] = v
+    return roots, root
+
+
+def _component_cube_ranks(m: int, adj) -> dict[int, int]:
+    """{level: rank} of the cube of black components of the graph with
+    neighbour masks adj; an edge sends a component to the one swallowing it."""
+    def level(j):
+        return {mask: {(0, 0): _black_components_with_roots(adj, mask)}
+                for mask in level_masks(m, j)}
+
+    def edge(source, target, v):
+        troots, troot = target
+        return [1 << troots.index(troot[r]) for r in source[0]]
+
+    ranks = cube_ranks(m, level, lambda comps: len(comps[0]), edge)
+    return {j: r for (j, _), r in ranks.items()}
+
+
+def _dominating_vertices(adj) -> int:
+    """Number of vertices adjacent to every other one."""
+    full = (1 << len(adj)) - 1
+    return sum(1 for v, a in enumerate(adj) if a | 1 << v == full)
 
 
 def star_intersection(X: SimplicialComplex) -> tuple[int, ...]:
@@ -253,7 +333,4 @@ def uber_top_level(X: SimplicialComplex) -> dict:
     if X.is_void:
         return {}
     m = X.vertex_count
-    core = _core(X)
-    ranks = cube_ranks(m, lambda j: _level(X, core, j) if j >= m - 1 else {},
-                       _block_rank, _edge_columns)
-    return {bg: r for (j, bg), r in ranks.items() if j == m}
+    return {(i, k): r for (j, i, k), r in _engine_cube(X, lowest=m - 1).items() if j == m}

@@ -2,7 +2,6 @@
 
 import ast
 import inspect
-import re
 from pathlib import Path
 from types import ModuleType
 
@@ -13,18 +12,55 @@ SOURCES = sorted(p for p in (ROOT / "src" / "uberhom").glob("*.py") if p.name !=
 SCRIPTS = sorted((ROOT / "perfbench").glob("*.py"))
 
 
+def _defines(tree: ast.Module, name: str) -> bool:
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            return True
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return True
+    return False
+
+
+def _references(tree: ast.Module) -> set:
+    """Names a module reads: loaded names, attributes and imported names."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def _traced_layers() -> set:
+    """The (module, function) pairs of perfbench/spans.py's LAYERS, which the
+    tracer reaches by string; the only strings that count as callers."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets))
+    return set(ast.literal_eval(value))
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
-    """Each name in uberhom.__all__ is referenced by a src/uberhom module
-    other than the one defining it, or by a perfbench script; a name only
-    the tests use belongs in tests/paper.py or behind its module."""
-    texts = [p.read_text() for p in SOURCES + SCRIPTS]
+    """Each name in uberhom.__all__ is read, as a name, an attribute or an
+    import, by a src/uberhom module other than the one defining it or by a
+    perfbench script, or is a LAYERS function; a name only the tests use
+    belongs in tests/paper.py or behind its module.  String literals, such
+    as report keys, do not count."""
+    trees = [ast.parse(p.read_text()) for p in SOURCES + SCRIPTS]
+    reads = [(tree, _references(tree)) for tree in trees]
+    traced = _traced_layers()
     unused = []
     for name in uberhom.__all__:
-        if isinstance(getattr(uberhom, name), ModuleType):
+        obj = getattr(uberhom, name)
+        module = getattr(obj, "__module__", "").rpartition(".")[2]
+        if isinstance(obj, ModuleType) or (module, name) in traced:
             continue
-        definition = re.compile(rf"^(?:def |class ){name}\b|^{name}\s*[:=]", re.M)
-        word = re.compile(rf"\b{name}\b")
-        if not any(word.search(t) and not definition.search(t) for t in texts):
+        if not any(name in names and not _defines(tree, name) for tree, names in reads):
             unused.append(name)
     assert unused == []
 

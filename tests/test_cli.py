@@ -18,9 +18,9 @@ from pathlib import Path
 import pytest
 
 import uberhom
-from uberhom import (SimpleGraph, cli, complexes, encode_graph6, format_complex,
-                     format_plane_graph, graphs, matching_complex, parse_graph6, planar,
-                     standard_complex, uber)
+from uberhom import (SimpleGraph, SimplicialComplex, cli, complexes, encode_graph6,
+                     format_complex, format_plane_graph, graphs, matching_complex,
+                     parse_graph6, planar, standard_complex, uber)
 from uberhom.cli import main
 
 from conftest import plane_fixtures
@@ -201,6 +201,44 @@ def test_uber_cap(files, capsys, monkeypatch):
     code, _, err = run_text(capsys, ["horizontal", files["sparse"],
                                      "--colouring", "all"])
     assert code == 4  # 17 vertices exceeds the --colouring all limit
+
+
+def test_uber_cap_comes_before_the_component_cube(tmp_path, capsys, monkeypatch):
+    """A 1-dimensional input takes the black-component cube; --cap and
+    UBERHOM_CAP refuse it, with the engine's message, before that cube is
+    built."""
+    def unreachable(m, adj):
+        raise AssertionError("component cube built past the cap")
+
+    cycle = tmp_path / "cycle5.cplx"
+    cycle.write_text(format_complex(standard_complex("cycle", 5)))
+    monkeypatch.setattr(uber, "_component_cube_ranks", unreachable)
+    code, out, err = run_text(capsys, ["uber", str(cycle), "--cap", "2"])
+    assert (code, out) == (4, "") and "the cube cap is 2" in err
+    monkeypatch.setenv("UBERHOM_CAP", "2")
+    code, out, err = run_text(capsys, ["uber", str(cycle)])
+    assert (code, out) == (4, "") and "the cube cap is 2" in err
+
+
+def test_uber_edge_case_output(tmp_path, capsys, monkeypatch):
+    """uber's exact output on the inputs at the edge of the graph route: two
+    isolated vertices (on it, acyclic), the single edge (a simplex, so the
+    engine), and, since a complex file always holds every vertex, a void
+    complex and one with a vertex outside X handed over by the parser."""
+    def expected(text, ranks):
+        return json.dumps({"command": "uber", "ranks": ranks, "vertex_count": 2,
+                           "input_sha256": hashlib.sha256(text.encode()).hexdigest(),
+                           "vertex_order": [0, 1]}, indent=2, sort_keys=True) + "\n"
+
+    path = tmp_path / "x.cplx"
+    for text, ranks in (("2\n", {}), ("2\n0 1\n", {"(00,00,01)": 2, "(00,01,02)": 1,
+                                                    "(01,00,00)": 1})):
+        path.write_text(text)
+        assert run_text(capsys, ["uber", str(path)]) == (0, expected(text, ranks), "")
+    path.write_text("2\n")
+    for X in (SimplicialComplex(2, frozenset()), SimplicialComplex(2, frozenset({0b01}))):
+        monkeypatch.setattr(cli, "read_complex", lambda text, X=X: X)
+        assert run_text(capsys, ["uber", str(path)]) == (0, expected("2\n", {}), "")
 
 
 def test_negative_cap_is_a_parse_error(files, capsys, monkeypatch):
@@ -419,10 +457,10 @@ def test_graph_hom_h0_cap(tmp_path, capsys, monkeypatch):
     report = run_json(capsys, ["graph-hom", "h0", str(paths[10])])
     assert (report["vertex_count"], report["ranks"]) == (10, {"08": 1})
 
-    def unreachable(m, j):
-        raise AssertionError("colourings built past the cap")
+    def unreachable(m, adj):
+        raise AssertionError("component cube built past the cap")
 
-    monkeypatch.setattr(graphs, "level_masks", unreachable)
+    monkeypatch.setattr(graphs, "_component_cube_ranks", unreachable)
     code, out, err = run_text(capsys, ["graph-hom", "h0", str(paths[24])])
     assert (code, out) == (4, "")
     assert "the cube cap is 20" in err and "--cap" not in err

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uberhom import f2
+from uberhom import f2, uber
 from uberhom import graphs as graphs_module
 from uberhom import (
     Colouring,
@@ -33,7 +33,6 @@ from uberhom import (
     first_differing_level,
     theta,
     theta_classes,
-    uber_homology,
     vertices_of,
 )
 
@@ -409,7 +408,7 @@ def test_h0_graph_against_oracle_and_cube():
     for G in graphs:
         fast = h0_graph(G)
         assert fast == naive_graph_h0(G.vertex_count, G.edges)
-        cube = uber_homology(graph_as_complex(G), bidegrees=[(0, 0)])
+        cube = uber._engine_cube(graph_as_complex(G), bidegrees=[(0, 0)])
         assert fast == {j: r for (j, _, _), r in cube.items()}
 
 
@@ -434,7 +433,7 @@ def test_h0_graph_clears_through_the_engine_reducer(monkeypatch):
     assert 0 < sum(seen) < classes
     monkeypatch.undo()
     grid = graph("grid", 3, 4)
-    cube = uber_homology(graph_as_complex(grid), bidegrees={(0, 0)})
+    cube = uber._engine_cube(graph_as_complex(grid), bidegrees={(0, 0)})
     assert h0_graph(grid) == {j: r for (j, _, _), r in cube.items()} == {8: 1}
 
 
@@ -443,7 +442,7 @@ def test_specialised_homologies_are_cube_slices():
               graph("complete", 4)]
     for G in graphs:
         X = graph_as_complex(G)
-        full = uber_homology(X)
+        full = uber._engine_cube(X)
         assert h1_0(G) == {j: r for (j, i, k), r in full.items() if (i, k) == (0, 1)}
         assert h1_1(G) == {j: r for (j, i, k), r in full.items() if (i, k) == (1, 1)}
         assert h2_graph(G) == {j: r for (j, i, k), r in full.items() if (i, k) == (1, 2)}

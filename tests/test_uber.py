@@ -1,5 +1,6 @@
 """Unit tests for the colour-cube homology."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uberhom import (
     CapExceeded,
@@ -23,6 +25,7 @@ from uberhom import (
     uber_top_level,
     vertices_of,
     SimpleGraph,
+    SimplicialComplex,
 )
 from uberhom import f2, uber
 from uberhom.coloured import BlockHomology, horizontal_homology_with_bases
@@ -161,7 +164,7 @@ MIXED_TARGET = from_facets(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4)])
     MIXED_TARGET, standard_complex("cycle", 5), standard_complex("torus_min"),
 ], ids=["mixed_target", "cycle5", "torus_min"])
 def test_each_colouring_gets_its_core_subcomplex(monkeypatch, X):
-    """uber_homology makes one horizontal_homology_with_bases call per
+    """The engine makes one horizontal_homology_with_bases call per
     colouring, on the simplices of X whose white part is empty or a face of
     the star intersection; that set is face-closed, so checked_complex
     accepts it, and on some colouring it is smaller than X."""
@@ -175,7 +178,7 @@ def test_each_colouring_gets_its_core_subcomplex(monkeypatch, X):
         return original(Y, eps)
 
     monkeypatch.setattr(uber, "horizontal_homology_with_bases", recorder)
-    uber_homology(X)
+    uber._engine_cube(X)
     assert sorted(bits for bits, _ in calls) == list(range(1 << m))
     for bits, Y in calls:
         assert Y == checked_complex(
@@ -203,8 +206,104 @@ def test_uber_homology_matches_naive_oracle_on_core_faces(X, core_sizes):
     block of X has classes of white parts {0}, {1}, {1}; only the two of
     part {1} lie in the core subcomplex."""
     assert {s.bit_count() for s in star_intersection(X)} == core_sizes
-    assert uber_homology(X) == oracles.naive_uber(
-        X.vertex_count, [vertices_of(s) for s in X.simplices])
+    naive = oracles.naive_uber(X.vertex_count, [vertices_of(s) for s in X.simplices])
+    assert uber_homology(X) == uber._engine_cube(X) == naive
+
+
+def is_graph_route(X) -> bool:
+    """uber_homology's test for the black-component route."""
+    return (not X.is_void and (1 << X.vertex_count) - 1 not in X.simplices
+            and all(s.bit_count() <= 2 for s in X.simplices))
+
+
+@st.composite
+def one_dimensional_complexes(draw):
+    """(X, perm) from a drawn seed: a complex of dimension at most 1 on 1 to
+    9 vertices, one time in four with one or two of them outside X, whose
+    edges are kept at a rate of 0, 1/4, 1/2 or 3/4 (so edgeless,
+    disconnected and dense graphs all occur), and a relabelling."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    m = rng.randint(1, 9)
+    outside = (set(rng.sample(range(m), rng.randint(1, min(2, m - 1))))
+               if m > 1 and rng.random() < 0.25 else set())
+    inside = [v for v in range(m) if v not in outside]
+    rate = rng.choice((0, 0.25, 0.5, 0.75))
+    edges = {1 << u | 1 << v for u in inside for v in inside
+             if u < v and rng.random() < rate}
+    return checked_complex(m, {1 << v for v in inside} | edges), rng.sample(range(m), m)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(one_dimensional_complexes())
+def test_graph_route_matches_engine_and_naive_oracle(case):
+    """Every nonvoid 1-dimensional X that is not a simplex takes the
+    black-component route, with no per-colouring homology; it equals the
+    engine, the brute-force oracle (up to 7 vertices, where the oracle is
+    fast) and itself under relabelling."""
+    X, perm = case
+    engine = uber._engine_cube(X)
+
+    def unreachable(Y, eps):
+        raise AssertionError("per-colouring homology on the graph route")
+
+    with pytest.MonkeyPatch.context() as patch:
+        if is_graph_route(X):
+            patch.setattr(uber, "horizontal_homology_with_bases", unreachable)
+        route = uber_homology(X)
+        assert uber_homology(X.permuted(perm)) == route
+    assert route == engine
+    if X.vertex_count <= 7:
+        assert route == oracles.naive_uber(
+            X.vertex_count, [vertices_of(s) for s in X.simplices])
+
+
+def test_graph_route_on_nine_vertices_matches_naive_oracle():
+    """The relabelled wheel on 9 vertices, a hub and an 8-cycle, carries all
+    four towers, at the largest size the property test draws."""
+    X = from_facets(9, [(0, v) for v in range(1, 9)] + [(v, v % 8 + 1) for v in range(1, 9)])
+    X = X.permuted(random.Random(97).sample(range(9), 9))
+    assert is_graph_route(X)
+    naive = oracles.naive_uber(9, [vertices_of(s) for s in X.simplices])
+    assert uber_homology(X) == uber._engine_cube(X) == naive
+    assert {(i, k) for _, i, k in naive} == {(0, 0), (1, 0), (0, 1), (1, 1)}
+
+
+GRAPH_ROUTE_CASES = {
+    "cycle5": standard_complex("cycle", 5),
+    "k4": graph_as_complex(graph("complete", 4)),
+    "wheel5": from_facets(6, [(0, v) for v in range(1, 6)]
+                          + [(v, v % 5 + 1) for v in range(1, 6)]),
+    "two_paths": from_facets(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+    "outside": SimplicialComplex(3, frozenset({0b001, 0b010, 0b011})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_ROUTE_CASES))
+def test_graph_route_bidegree_restriction_is_exact(name):
+    """For every subset of the four towers a 1-dimensional X can carry,
+    restricting the route, and the engine, equals filtering the full
+    result."""
+    X = GRAPH_ROUTE_CASES[name]
+    assert is_graph_route(X)
+    full = uber_homology(X)
+    assert full == uber._engine_cube(X)
+    towers = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    for n in range(len(towers) + 1):
+        for subset in itertools.combinations(towers, n):
+            expected = {key: r for key, r in full.items() if key[1:] in subset}
+            assert uber_homology(X, bidegrees=set(subset)) == expected, subset
+            assert uber._engine_cube(X, bidegrees=set(subset)) == expected, subset
+
+
+def test_uber_on_cycle12_makes_no_block_homology(monkeypatch):
+    """uber on the 12-cycle, the benchmark's largest cube_rank input, builds
+    no per-colouring homology and no edge-map matrix."""
+    def unreachable(*args):
+        raise AssertionError("block homology or edge-map matrix on a graph")
+
+    monkeypatch.setattr(uber, "horizontal_homology_with_bases", unreachable)
+    monkeypatch.setattr(uber, "d_eta_matrix", unreachable)
+    assert uber_homology(standard_complex("cycle", 12)) == {(10, 0, 0): 1, (12, 1, 0): 1}
 
 
 def test_benchmark_harness_selftest():
@@ -320,7 +419,7 @@ def test_graph_degree0_tower_three_routes():
     ]
     for G in graphs:
         X = graph_as_complex(G)
-        cube = uber_homology(X, bidegrees=[(0, 0)])
+        cube = uber._engine_cube(X, bidegrees=[(0, 0)])
         slice00 = {j: r for (j, i, k), r in cube.items()}
         assert slice00 == h0_graph(G)
         assert slice00 == naive_graph_h0(G.vertex_count, G.edges)
