@@ -158,39 +158,43 @@ def graph_as_complex(G: SimpleGraph) -> SimplicialComplex:
 # matching complexes
 
 
-def matching_complex_of_edges(endpoints) -> SimplicialComplex:
-    """Matching complex of an explicit edge list.
-
-    Vertices are edge indices; a simplex is a set of edges sharing no
-    endpoint.  Endpoint labels can be anything hashable, and parallel edges
-    are allowed (they simply exclude one another).  The result may be
-    disconnected or void; that is fine for the homology machinery.
-    """
+def matching_blocks(endpoints, part: int) -> dict[tuple[int, int], list[int]]:
+    """The nonempty matchings of an edge list, as masks of edge indices, filed
+    under (dimension, mask & part) as the search finds them.  Endpoints can be
+    any hashable labels; parallel edges simply exclude one another."""
     n = len(endpoints)
     if n > MAX_VERTICES:
         raise ComplexError(f"{n} edges exceed the supported maximum")
-    if n == 0:
-        return SimplicialComplex(1, frozenset())
     # clash[1 << i] has bit j set when edges i and j share an endpoint, and bit i
     at: dict = {}
     for idx, (a, b) in enumerate(endpoints):
         at[a] = at.get(a, 0) | 1 << idx
         at[b] = at.get(b, 0) | 1 << idx
     clash = {1 << idx: at[a] | at[b] for idx, (a, b) in enumerate(endpoints)}
-    simplices: list[int] = []
+    levels: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
 
-    def extend(mask: int, free: int):
+    def extend(mask: int, free: int, depth: int):
         # free holds the edges above mask's last one that clash with none of it
+        files = levels[depth]
         while free:
             bit = free & -free
             free ^= bit
             grown = mask | bit
-            simplices.append(grown)
-            extend(grown, free & ~clash[bit])
+            files.setdefault(grown & part, []).append(grown)
+            if rest := free & ~clash[bit]:
+                extend(grown, rest, depth + 1)
 
-    extend(0, (1 << n) - 1)
+    extend(0, (1 << n) - 1, 0)
+    return {(d, key): block for d, files in enumerate(levels)
+            for key, block in files.items()}
+
+
+def matching_complex_of_edges(endpoints) -> SimplicialComplex:
+    """Matching complex of an explicit edge list (see matching_blocks), on the
+    edge indices; it may be disconnected or void."""
+    blocks = matching_blocks(endpoints, 0)
     # every subset of a matching is a matching, so the set is face-closed
-    return SimplicialComplex(n, frozenset(simplices))
+    return SimplicialComplex(max(len(endpoints), 1), frozenset().union(*blocks.values()))
 
 
 def matching_complex(G: SimpleGraph) -> SimplicialComplex:

@@ -6,9 +6,10 @@ embedding must satisfy V - E + F = 2.  Overlaying the graph with its dual
 puts one crossing vertex on every edge; the matching complex of the overlay,
 with half-edges coloured by which side they touch, decomposes level by level
 into matching complexes of edge-deleted subgraphs (Theorem 4.2).
-overlay_ranks reads the horizontal ranks off that decomposition without
-building the overlay; theorem42_verify checks it rank by rank against the
-horizontal homology of the overlay built in full.
+overlay_ranks reads the horizontal ranks off that decomposition, once per
+orbit of the map automorphisms, without building the overlay;
+theorem42_verify checks it rank by rank against the horizontal homology of
+every overlay matching, filed by white part as the search finds it.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .coloured import Colouring, horizontal_homology, simplicial_homology
-from .complexes import SimplicialComplex, vertices_of
-from .errors import CapExceeded, ComplexError, ParseError
-from .graphs import SimpleGraph, matching_complex_of_edges
+from .coloured import Colouring, _chain_ranks, simplicial_homology
+from .complexes import vertices_of
+from .errors import CapExceeded, ComplexError, EngineError, ParseError
+from .graphs import SimpleGraph, matching_blocks, matching_complex_of_edges
 
 Dart = tuple[int, int]
 MAX_OVERLAY_EDGES = 12  # the overlay matching complex grows exponentially
@@ -204,12 +205,34 @@ def _check_overlay(T: TaitGraph):
                           f"got {T.crossing_count}")
 
 
-def tait_matching_complex(T: TaitGraph) -> tuple[SimplicialComplex, Colouring]:
-    """Matching complex of the overlay together with its half-edge colouring;
-    raises before building it for no edge or over MAX_OVERLAY_EDGES edges."""
-    _check_overlay(T)
-    M = matching_complex_of_edges(list(T.overlay_edges))
-    return M, tait_colouring(T)
+def _map_automorphisms(P: PlaneGraph) -> set[tuple[int, ...]]:
+    """Vertex maps of the map automorphisms of a plane graph with an edge.
+    One is fixed by the image of the dart (0, rotations[0][0]) and by keeping
+    (step 1) or reversing (step -1) orientation; each candidate is propagated
+    through the rotations in O(|E|) and dropped at its first clash.  One with
+    no clash is bijective on each vertex's neighbours, so it is an
+    automorphism of the connected graph."""
+    rot = P.rotations
+
+    def propagate(x: int, y: int, step: int):
+        perm = [x] + [-1] * (len(rot) - 1)
+        queue = [(0, rot[0][0], y)]  # placed vertex, a neighbour, its image
+        for u, w, z in queue:
+            here, there = rot[u], rot[perm[u]]
+            if len(here) != len(there):
+                return None
+            i, j, d = here.index(w), there.index(z), len(here)
+            for t in range(d):
+                a, b = here[(i + t) % d], there[(j + step * t) % d]
+                if perm[a] < 0:
+                    perm[a] = b
+                    queue.append((a, u, perm[u]))
+                elif perm[a] != b:
+                    return None
+        return tuple(perm)
+
+    return {propagate(x, y, step) for x, r in enumerate(rot) for y in r
+            for step in (1, -1)} - {None}
 
 
 def _reduced_matching_homology(edge_list) -> dict[int, int]:
@@ -223,19 +246,36 @@ def overlay_ranks(T: TaitGraph) -> dict[tuple[int, int], int]:
     (i, k), from Theorem 4.2's split without building the overlay: level 0
     is the homology of the primal half-edges' matching complex; level k
     adds, per matching of k dual half-edges, the reduced homology (shifted
-    by k) of the primal half-edges at the crossings it does not use, once
-    per set of crossings used.  Raises like tait_matching_complex."""
+    by k) of the primal half-edges at the crossings it does not use.  The
+    white matchings are counted per set R of crossings used, and the sets
+    grouped into orbits of the map automorphisms.  A graph automorphism g
+    maps the survivors of R isomorphically onto those of g(R), so the
+    survivor homology is computed once per orbit, weighted by the orbit's
+    summed count.  Raises for no edge or over MAX_OVERLAY_EDGES edges."""
     _check_overlay(T)
-    black = T.black_edges()
-    white = T.white_edges()
+    black, white = T.black_edges(), T.white_edges()
     ranks = {(d, 0): r for d, r in
              simplicial_homology(matching_complex_of_edges(black)).items()}
-    # a matching uses each crossing at most once, so k = len(removed)
-    uses = Counter(frozenset(white[idx][0] for idx in vertices_of(mask))
+    # half-edge idx is at crossing idx // 2; a matching uses each at most once
+    uses = Counter(sum(1 << idx // 2 for idx in vertices_of(mask))
                    for mask in matching_complex_of_edges(white).simplices)
-    for removed, count in uses.items():
-        k = len(removed)
-        survivors = [be for be in black if be[0] not in removed]
+    G = T.plane.graph
+    index = {e: i for i, e in enumerate(G.edges)}
+    group = []  # as permutations of the edge indices, each checked before use
+    for perm in _map_automorphisms(T.plane):
+        group.append([index.get((min(perm[u], perm[v]), max(perm[u], perm[v])))
+                      for u, v in G.edges])
+        if sorted(perm) != list(range(G.vertex_count)) or None in group[-1]:
+            raise EngineError(f"{perm} is not an automorphism of the plane graph")
+    seen: set[int] = set()
+    for removed in uses:
+        if removed in seen:
+            continue
+        orbit = {sum(1 << g[e] for e in vertices_of(removed)) for g in group}
+        seen |= orbit
+        count = sum(uses[R] for R in orbit)
+        k = removed.bit_count()
+        survivors = [be for idx, be in enumerate(black) if not removed >> idx // 2 & 1]
         for dim, r in _reduced_matching_homology(survivors).items():
             ranks[(dim + k, k)] = ranks.get((dim + k, k), 0) + count * r
     return ranks
@@ -245,19 +285,24 @@ def theorem42_verify(P: PlaneGraph) -> dict:
     """Check the level-by-level decomposition of the overlay homology.
 
     Left side: horizontal homology of the coloured overlay matching complex,
-    built in full and grouped by filtration level k.  Right side:
-    overlay_ranks, which sums survivor homologies over white matchings and
-    never builds the overlay.  The two sides reduce independent complexes
-    on one shared rank kernel, `coloured._chain_ranks`; the tests check that
-    kernel against brute-force oracles on the overlays of small graphs.
+    with every matching of the 4|E| overlay edges filed under its dimension
+    and white part as the search finds it; it uses neither the theorem nor
+    the symmetry.  Right side: overlay_ranks.  The two sides reduce
+    independent complexes on one shared rank kernel, `coloured._chain_ranks`;
+    the tests check that kernel against brute-force oracles on the overlays
+    of small graphs.
     """
     T = tait_graph(P)
-    M, eps = tait_matching_complex(T)
-    lhs: dict[int, dict[int, int]] = {}
     rhs: dict[int, dict[int, int]] = {}
-    for side, ranks in ((lhs, horizontal_homology(M, eps)), (rhs, overlay_ranks(T))):
-        for (d, k), r in ranks.items():
-            side.setdefault(k, {})[d] = r
+    for (d, k), r in overlay_ranks(T).items():  # raises before any enumeration
+        rhs.setdefault(k, {})[d] = r
+    eps = tait_colouring(T)
+    blocks = matching_blocks(T.overlay_edges, eps.complement().bits)
+    lhs: dict[int, dict[int, int]] = {}
+    for (d, white), r in _chain_ranks(blocks, lambda dw: (dw[0] - 1, dw[1]),
+                                      eps.bits).items():
+        by_dim = lhs.setdefault(white.bit_count(), {})
+        by_dim[d] = by_dim.get(d, 0) + r
 
     levels = {}
     for k in sorted(set(lhs) | set(rhs)):

@@ -9,9 +9,11 @@ oracle and implementation is unlikely.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from uberhom import graphs
+from uberhom.coloured import simplicial_homology
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +378,23 @@ def all_matchings(edges) -> list[frozenset]:
 
     rec(0, set(), frozenset())
     return out
+
+
+def crossing_set_overlay_ranks(T) -> dict[tuple[int, int], int]:
+    """Theorem 4.2's split of a Tait overlay's horizontal ranks with no
+    symmetry: one reduced survivor homology per set of crossings that a
+    white matching uses, weighted by the number of such matchings."""
+    black, white = T.black_edges(), T.white_edges()
+    ranks = {(d, 0): r for d, r in
+             simplicial_homology(graphs.matching_complex_of_edges(black)).items()}
+    uses = Counter(frozenset(white[i][0] for i in m) for m in all_matchings(white) if m)
+    for removed, count in uses.items():
+        k = len(removed)
+        survivors = [be for be in black if be[0] not in removed]
+        M = graphs.matching_complex_of_edges(survivors)
+        for dim, r in simplicial_homology(M, reduced=True).items():
+            ranks[(dim + k, k)] = ranks.get((dim + k, k), 0) + count * r
+    return ranks
 
 
 def naive_girth(n: int, edges):

@@ -14,9 +14,11 @@ import networkx as nx
 
 from uberhom import (MAX_VERTICES, Colouring, ColouringMismatch, PlaneGraph, SimpleGraph,
                      SimplicialComplex, dim_of, graph_as_complex, horizontal_homology,
-                     mask_of, simplicial_homology, standard_complex, uber_degree0_fast,
-                     uber_top_level, vertices_of)
+                     mask_of, matching_complex_of_edges, simplicial_homology,
+                     standard_complex, tait_colouring, uber_degree0_fast, uber_top_level,
+                     vertices_of)
 from uberhom.morse import MorseReport, is_dalmatian
+from uberhom.planar import TaitGraph
 from uberhom.uber import star_intersection
 
 # ---------------------------------------------------------------------------
@@ -228,6 +230,12 @@ def dual_graph(P: PlaneGraph) -> PlaneGraph:
     edges = [P.edge_sides(u, v) for u, v in P.graph.edges]
     rotations = tuple(tuple(P.face_of_dart[(v, u)] for u, v in cycle) for cycle in P.faces)
     return PlaneGraph(SimpleGraph.from_edges(P.face_count, edges), rotations)
+
+
+def tait_matching_complex(T: TaitGraph) -> tuple[SimplicialComplex, Colouring]:
+    """Matching complex of the whole overlay, built in full, with its
+    half-edge colouring."""
+    return matching_complex_of_edges(list(T.overlay_edges)), tait_colouring(T)
 
 
 # ---------------------------------------------------------------------------

@@ -509,6 +509,14 @@ OVERLAY_DIGESTS = {
         "170b51d83023768ab5c3473734745dfc3f7e4071b00615a1bc89db9e70af61d4",
     ("wheel5", "tait"):  # 10 edges: no benchmark workload runs it
         "3b5a8d8be28b4d5975be7f2231c5b3a377dca2ec214279c4ea61b99a046c3ea5",
+    # 12 edges, recorded when each took 4-8 s by one survivor homology per
+    # crossing set
+    ("cube", "tait"):
+        "b91a0e099f77296e83de0ff2ce83768feb611fcbb72e3e38ce431d204dcd2ad6",
+    ("octahedron", "tait"):
+        "3ad2353a333636c74fec3d7dd46aec67edfd694963eafebdf5f8e4d4bdd6d540",
+    ("wheel6", "tait"):
+        "b97ae1547e2b8665a7fc6c03c51fe49eeca6fa6efb1b49a8b9607c06541e16c1",
 }
 
 
@@ -523,10 +531,11 @@ def test_overlay_golden(tmp_path, capsys):
 
 
 def test_overlay_input_contract(tmp_path, capsys, monkeypatch):
-    def unreachable(edges):
-        raise AssertionError("matching complex built for a rejected overlay")
+    def unreachable(*args):
+        raise AssertionError("matchings enumerated for a rejected overlay")
 
-    monkeypatch.setattr(planar, "matching_complex_of_edges", unreachable)
+    for enumerator in ("matching_complex_of_edges", "matching_blocks"):
+        monkeypatch.setattr(planar, enumerator, unreachable)
     k1 = tmp_path / "k1.plane"
     k1.write_text("v 0:\n")
     wheel9 = tmp_path / "wheel9.plane"

@@ -167,11 +167,16 @@ def test_matching_complex_of_edges_with_parallels():
                 .filter(lambda e: e[0] != e[1]), max_size=12))
 def test_matching_complex_of_edges_against_oracle(edges):
     """The builder enumerates exactly the matchings (parallel edges
-    included) and its output passes checked_complex unchanged."""
+    included) and its output passes checked_complex unchanged; filed by a
+    part, each matching lies once in the block of its dimension and part."""
     M = matching_complex_of_edges(edges)
     expected = {mask_of(m) for m in all_matchings(edges) if m}
     assert M.simplices == expected
     assert checked_complex(M.vertex_count, M.simplices) == M
+    part = sum(1 << i for i in range(0, len(edges), 3))
+    filed = [(key, s) for key, masks in graphs_module.matching_blocks(edges, part).items()
+             for s in masks]
+    assert sorted(filed) == sorted(((s.bit_count() - 1, s & part), s) for s in expected)
 
 
 def test_closed_form_signature_is_exact():

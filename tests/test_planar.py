@@ -4,12 +4,14 @@ import random
 
 import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from uberhom import cli, planar
 from uberhom import (
     CapExceeded,
     Colouring,
     ComplexError,
+    EngineError,
     ParseError,
     PlaneGraph,
     SimpleGraph,
@@ -24,11 +26,10 @@ from uberhom import (
     theorem42_verify,
     vertices_of,
 )
-from uberhom.planar import tait_matching_complex
 
 from conftest import rotations_from_coordinates
-from oracles import all_matchings, naive_horizontal
-from paper import dual_graph, to_networkx
+from oracles import crossing_set_overlay_ranks, naive_horizontal
+from paper import dual_graph, tait_matching_complex, to_networkx
 
 SMALL = ["triangle", "square", "path2", "star3", "diamond"]
 SIMPLE_DUALS = ["prism", "cube", "octahedron"] + [f"wheel{k}" for k in range(3, 10)]
@@ -83,7 +84,7 @@ def test_single_vertex_plane_graph():
     assert dual_graph(P) == P
     T = tait_graph(P)
     assert T.partition_sizes == (1, 1, 0)
-    for build in (lambda: tait_matching_complex(T), lambda: theorem42_verify(P)):
+    for build in (lambda: overlay_ranks(T), lambda: theorem42_verify(P)):
         with pytest.raises(ComplexError, match="overlay needs at least one edge"):
             build()
 
@@ -228,6 +229,59 @@ def test_overlay_ranks_against_built_overlay(planes):
         assert overlay_ranks(T) == horizontal_homology(*tait_matching_complex(T)), name
 
 
+def _asymmetric_plane_graph() -> PlaneGraph:
+    """A path 0-1-2-3-4 with a triangle 1-2-5 on it: no automorphism but
+    the identity."""
+    return rotations_from_coordinates(
+        [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 5)],
+        [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (1.5, 1)])
+
+
+def _graph_automorphisms(G: SimpleGraph) -> list[dict]:
+    H = to_networkx(G)
+    return list(GraphMatcher(H, H).isomorphisms_iter())
+
+
+def test_overlay_ranks_against_crossing_set_oracle(planes):
+    """The orbit route equals one survivor homology per crossing set, on
+    every fixture of at most 10 edges, on seeded relabellings and on a
+    plane graph whose automorphism group is trivial."""
+    cases = {name: P for name, P in planes.items() if 1 <= P.graph.edge_count <= 10}
+    cases.update({"prism@3": _relabel(planes["prism"], 3),
+                  "wheel5@4": _relabel(planes["wheel5"], 4)})
+    cases["asymmetric"] = _asymmetric_plane_graph()
+    assert len(_graph_automorphisms(cases["asymmetric"].graph)) == 1
+    for name, P in cases.items():
+        T = tait_graph(P)
+        assert overlay_ranks(T) == crossing_set_overlay_ranks(T), name
+
+
+def test_map_automorphisms_are_the_graph_automorphisms(planes):
+    """On a 3-connected plane graph every graph automorphism is a map
+    automorphism (Whitney), so the counts agree."""
+    expected = {"prism": 12, "cube": 48, "octahedron": 48, "wheel3": 24}
+    expected.update({f"wheel{k}": 2 * k for k in range(4, 10)})
+    for name, count in expected.items():
+        G = planes[name].graph
+        autos = planar._map_automorphisms(planes[name])
+        assert len(autos) == len(_graph_automorphisms(G)) == count, name
+    assert planar._map_automorphisms(_asymmetric_plane_graph()) == {tuple(range(6))}
+
+
+def test_forged_automorphism_refused_before_use(planes, monkeypatch):
+    def unreachable(edge_list):
+        raise AssertionError("survivor homology computed with a forged automorphism")
+
+    monkeypatch.setattr(planar, "_reduced_matching_homology", unreachable)
+    T = tait_graph(planes["prism"])
+    identity = tuple(range(6))
+    # the first sends edge (0, 3) to the non-edge (1, 3); the second is not onto
+    for forged in ((1, 0, 2, 3, 4, 5), (0, 0, 2, 3, 4, 5)):
+        monkeypatch.setattr(planar, "_map_automorphisms", lambda P, g=forged: {identity, g})
+        with pytest.raises(EngineError, match="not an automorphism"):
+            overlay_ranks(T)
+
+
 def test_overlay_ranks_against_naive_oracle(planes):
     """Both sides of theorem42_verify reduce through one rank kernel, so each
     is checked against the brute-force horizontal homology of the overlay."""
@@ -248,7 +302,11 @@ def test_tait_never_enumerates_the_overlay(planes, tmp_path, capsys, monkeypatch
         sizes.append(len(edges))
         return original(edges)
 
+    def unreachable(*args):
+        raise AssertionError("tait enumerated the overlay")
+
     monkeypatch.setattr(planar, "matching_complex_of_edges", recording)
+    monkeypatch.setattr(planar, "matching_blocks", unreachable)
     path = tmp_path / "prism.plane"
     path.write_text(format_plane_graph(planes["prism"]))
     assert cli.main(["tait", str(path)]) == 0
@@ -274,23 +332,26 @@ def test_theorem42_frozen_triangle(planes):
 
 
 def test_theorem42_cap(planes, monkeypatch):
-    def unreachable(edges):
-        raise AssertionError("matching complex built past the cap")
+    def unreachable(*args):
+        raise AssertionError("matchings enumerated past the cap")
 
-    monkeypatch.setattr(planar, "matching_complex_of_edges", unreachable)
+    for enumerator in ("matching_complex_of_edges", "matching_blocks"):
+        monkeypatch.setattr(planar, enumerator, unreachable)
     T = tait_graph(planes["wheel9"])  # 18 primal edges
     assert T.crossing_count > planar.MAX_OVERLAY_EDGES
     with pytest.raises(CapExceeded):
-        tait_matching_complex(T)
+        overlay_ranks(T)
     with pytest.raises(CapExceeded):
         theorem42_verify(planes["wheel9"])
 
 
-def test_theorem42_survivor_homology_once_per_crossing_set(planes, monkeypatch):
-    """The right-hand side computes one reduced homology per distinct set of
-    crossings used by a white matching, not one per matching."""
+def test_theorem42_survivor_homology_once_per_orbit(planes, monkeypatch):
+    """The right-hand side computes one reduced homology per orbit of the
+    crossing sets used by white matchings under the graph's automorphisms,
+    fewer than one per crossing set."""
     original = planar._reduced_matching_homology
-    for name in ("square", "diamond", "star3", "wheel4"):
+    expected = {"cube": (78, 2317), "prism": (49, 366), "wheel4": (40, 214)}
+    for name, (orbit_count, set_count) in expected.items():
         calls = []
 
         def counting(edge_list):
@@ -298,10 +359,16 @@ def test_theorem42_survivor_homology_once_per_crossing_set(planes, monkeypatch):
             return original(edge_list)
 
         monkeypatch.setattr(planar, "_reduced_matching_homology", counting)
-        report = theorem42_verify(planes[name])
-        assert report["all_equal"], name
-        white = tait_graph(planes[name]).white_edges()
-        matchings = [m for m in all_matchings(white) if m]
-        crossing_sets = {frozenset(white[i][0] for i in m) for m in matchings}
-        assert len(calls) == len(crossing_sets) < len(matchings), name
+        T = tait_graph(planes[name])
+        overlay_ranks(T)
+        white = T.white_edges()
+        crossing_sets = {frozenset(frozenset(T.crossings[i // 2][:2]) for i in vertices_of(m))
+                         for m in matching_complex_of_edges(white).simplices}
+        autos = _graph_automorphisms(T.plane.graph)
+        orbits, seen = 0, set()
+        for R in crossing_sets:
+            if R not in seen:
+                orbits += 1
+                seen |= {frozenset(frozenset(g[v] for v in e) for e in R) for g in autos}
+        assert len(calls) == orbits == orbit_count < len(crossing_sets) == set_count, name
         assert len(set(calls)) == len(calls), name
