@@ -115,18 +115,25 @@ def _chain_ranks(blocks: dict, down, droppable: int) -> dict:
             if (h := len(masks) - out_rank.get(key, 0) - in_rank.get(key, 0))}
 
 
+def horizontal_ranks(blocks: dict, black: int) -> dict[tuple[int, int], int]:
+    """Nonzero horizontal ranks, keyed by (i, k), of simplex masks filed
+    under (dimension, white part).  With black = -1 and white parts 0 this
+    is plain homology at (i, 0), reduced if block (-1, 0) is [0]."""
+    ranks: dict[tuple[int, int], int] = {}
+    for (d, white), h in _chain_ranks(blocks, lambda dw: (dw[0] - 1, dw[1]),
+                                      black).items():
+        key = (d, white.bit_count())
+        ranks[key] = ranks.get(key, 0) + h
+    return ranks
+
+
 def horizontal_homology(X: SimplicialComplex, eps: Colouring) -> dict:
     """Nonzero ranks of the horizontal homology, keyed by (i, k)."""
     eps.check_length(X.vertex_count)
     blocks: dict[tuple[int, int], list[int]] = {}
     for s in X.simplices:
         blocks.setdefault((s.bit_count() - 1, s & ~eps.bits), []).append(s)
-    ranks: dict[tuple[int, int], int] = {}
-    for (d, white), h in _chain_ranks(blocks, lambda dw: (dw[0] - 1, dw[1]),
-                                      eps.bits).items():
-        key = (d, white.bit_count())
-        ranks[key] = ranks.get(key, 0) + h
-    return ranks
+    return horizontal_ranks(blocks, eps.bits)
 
 
 def dual_grading(graded: dict) -> dict:

@@ -9,7 +9,8 @@ into matching complexes of edge-deleted subgraphs (Theorem 4.2).
 overlay_ranks reads the horizontal ranks off that decomposition, once per
 orbit of the map automorphisms, without building the overlay;
 theorem42_verify checks it rank by rank against the horizontal homology of
-every overlay matching, filed by white part as the search finds it.
+every overlay matching.  Each matching complex is one `matching_blocks`
+search, filed as found and reduced by `horizontal_ranks`, never a complex.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .coloured import Colouring, _chain_ranks, simplicial_homology
+from .coloured import Colouring, horizontal_ranks
 from .complexes import vertices_of
 from .errors import CapExceeded, ComplexError, EngineError, ParseError
-from .graphs import SimpleGraph, matching_blocks, matching_complex_of_edges
+from .graphs import SimpleGraph, matching_blocks
 
 Dart = tuple[int, int]
 MAX_OVERLAY_EDGES = 12  # the overlay matching complex grows exponentially
@@ -235,12 +236,6 @@ def _map_automorphisms(P: PlaneGraph) -> set[tuple[int, ...]]:
             for step in (1, -1)} - {None}
 
 
-def _reduced_matching_homology(edge_list) -> dict[int, int]:
-    """Reduced homology of the matching complex of an edge list; the empty
-    list gives the void complex, rank one in degree -1."""
-    return simplicial_homology(matching_complex_of_edges(edge_list), reduced=True)
-
-
 def overlay_ranks(T: TaitGraph) -> dict[tuple[int, int], int]:
     """Horizontal ranks of the coloured overlay matching complex, keyed by
     (i, k), from Theorem 4.2's split without building the overlay: level 0
@@ -251,22 +246,23 @@ def overlay_ranks(T: TaitGraph) -> dict[tuple[int, int], int]:
     grouped into orbits of the map automorphisms.  A graph automorphism g
     maps the survivors of R isomorphically onto those of g(R), so the
     survivor homology is computed once per orbit, weighted by the orbit's
-    summed count.  Raises for no edge or over MAX_OVERLAY_EDGES edges."""
+    summed count.  Raises for no edge, over MAX_OVERLAY_EDGES edges or a
+    forged automorphism, before any matching is enumerated."""
     _check_overlay(T)
-    black, white = T.black_edges(), T.white_edges()
-    ranks = {(d, 0): r for d, r in
-             simplicial_homology(matching_complex_of_edges(black)).items()}
-    # half-edge idx is at crossing idx // 2; a matching uses each at most once
-    uses = Counter(sum(1 << idx // 2 for idx in vertices_of(mask))
-                   for mask in matching_complex_of_edges(white).simplices)
     G = T.plane.graph
     index = {e: i for i, e in enumerate(G.edges)}
-    group = []  # as permutations of the edge indices, each checked before use
+    group = []  # as permutations of the edge indices
     for perm in _map_automorphisms(T.plane):
         group.append([index.get((min(perm[u], perm[v]), max(perm[u], perm[v])))
                       for u, v in G.edges])
         if sorted(perm) != list(range(G.vertex_count)) or None in group[-1]:
             raise EngineError(f"{perm} is not an automorphism of the plane graph")
+    black = T.black_edges()
+    ranks = horizontal_ranks(matching_blocks(black, 0), -1)
+    # half-edge idx is at crossing idx // 2; a matching uses each at most once
+    uses = Counter(sum(1 << idx // 2 for idx in vertices_of(mask))
+                   for block in matching_blocks(T.white_edges(), 0).values()
+                   for mask in block)
     seen: set[int] = set()
     for removed in uses:
         if removed in seen:
@@ -276,7 +272,9 @@ def overlay_ranks(T: TaitGraph) -> dict[tuple[int, int], int]:
         count = sum(uses[R] for R in orbit)
         k = removed.bit_count()
         survivors = [be for idx, be in enumerate(black) if not removed >> idx // 2 & 1]
-        for dim, r in _reduced_matching_homology(survivors).items():
+        blocks = matching_blocks(survivors, 0)
+        blocks[(-1, 0)] = [0]  # the empty matching: reduced homology
+        for (dim, _), r in horizontal_ranks(blocks, -1).items():
             ranks[(dim + k, k)] = ranks.get((dim + k, k), 0) + count * r
     return ranks
 
@@ -288,29 +286,21 @@ def theorem42_verify(P: PlaneGraph) -> dict:
     with every matching of the 4|E| overlay edges filed under its dimension
     and white part as the search finds it; it uses neither the theorem nor
     the symmetry.  Right side: overlay_ranks.  The two sides reduce
-    independent complexes on one shared rank kernel, `coloured._chain_ranks`;
-    the tests check that kernel against brute-force oracles on the overlays
-    of small graphs.
+    independent complexes through `horizontal_ranks`, as does
+    `horizontal_homology`; the tests check both against brute-force oracles
+    on the overlays of small graphs.
     """
     T = tait_graph(P)
-    rhs: dict[int, dict[int, int]] = {}
-    for (d, k), r in overlay_ranks(T).items():  # raises before any enumeration
-        rhs.setdefault(k, {})[d] = r
+    rhs = overlay_ranks(T)  # raises before any enumeration
     eps = tait_colouring(T)
-    blocks = matching_blocks(T.overlay_edges, eps.complement().bits)
-    lhs: dict[int, dict[int, int]] = {}
-    for (d, white), r in _chain_ranks(blocks, lambda dw: (dw[0] - 1, dw[1]),
-                                      eps.bits).items():
-        by_dim = lhs.setdefault(white.bit_count(), {})
-        by_dim[d] = by_dim.get(d, 0) + r
-
+    lhs = horizontal_ranks(matching_blocks(T.overlay_edges, ~eps.bits), eps.bits)
     levels = {}
-    for k in sorted(set(lhs) | set(rhs)):
-        left, right = lhs.get(k, {}), rhs.get(k, {})
+    for k in sorted({k for _, k in lhs.keys() | rhs.keys()}):
+        left, right = ({d: r for (d, j), r in side.items() if j == k} for side in (lhs, rhs))
         levels[k] = {"lhs": left, "rhs": right, "equal": left == right}
     return {
         "partition": T.partition_sizes,
         "levels": levels,
         "all_equal": all(level["equal"] for level in levels.values()),
-        "level0_matches_subdivision": lhs.get(0, {}) == rhs.get(0, {}),
+        "level0_matches_subdivision": 0 not in levels or levels[0]["equal"],
     }

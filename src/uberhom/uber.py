@@ -31,13 +31,14 @@ j + 2 of row i + 1, is an isomorphism: towers (1, 0) and (1, 1) are
 (0, 0), the black-component cube, and (0, 1), the dominating vertices at
 level 0, two levels up.  A vertex outside X makes every tower acyclic.
 
-One reducer, `cube_ranks`, takes the homology of every colour cube: the
-block cube and the black-component cube (`_component_cube_ranks`, also
-behind `graphs.h0_graph`).  It holds two adjacent levels at a time and
-clears (Chen and Kerber, "Persistent homology computation with a twist",
-EuroCG 2011): a source position that is the lowest bit of an image row of
-the previous differential is skipped, since that row is a boundary and the
-differential kills it.  Clearing needs only d^2 = 0, so it holds for both.
+One reducer, `cube_ranks`, takes the homology of every tower of every
+colour cube: the block cube and the black-component cube
+(`_component_cube_ranks`, also behind `graphs.h0_graph`).  It holds two
+adjacent levels at a time and clears (Chen and Kerber, "Persistent homology
+computation with a twist", EuroCG 2011): a source position that is the
+lowest bit of an image row of the previous differential is skipped, since
+that row is a boundary and the differential kills it.  Clearing needs only
+d^2 = 0, so it holds for both.
 
 For every other X each colouring's blocks come from one
 `horizontal_homology_with_bases` call, and the cube edge maps go through
@@ -143,30 +144,29 @@ def _core(X: SimplicialComplex) -> frozenset:
     return frozenset((0, *star_intersection(X)))
 
 
-def _layout(level: dict, rank, towers) -> tuple[dict, dict]:
+def _layout(level: dict, rank) -> tuple[dict, dict]:
     """Direct-sum layout of a level: {tower: {mask: offset}} and
-    {tower: dimension}, over the wanted towers; groups of rank 0 are left
-    out."""
+    {tower: dimension}; groups of rank 0 are left out."""
     layout: dict = {}
     dims: dict = {}
     for mask, groups in level.items():
         for tw, group in groups.items():
             r = rank(group)
-            if r and (towers is None or tw in towers):
+            if r:
                 start = dims.get(tw, 0)
                 layout.setdefault(tw, {})[mask] = start
                 dims[tw] = start + r
     return layout, dims
 
 
-def cube_ranks(m: int, level, rank, edge, towers=None) -> dict:
+def cube_ranks(m: int, level, rank, edge) -> dict:
     """Homology ranks {(j, tower): rank} of a colour cube on m vertices.
 
     level(j) gives {colouring mask: {tower: group}} over the colourings of
     weight j, rank(group) the group's dimension, and edge(source, target, v)
     the columns, one per source class in target coordinates, of the cube
     edge blackening v; target is None where that colouring has no group in
-    the tower.  towers, when given, restricts the computation to them.
+    the tower.
 
     Per tower and level, the differential to the next level is one matrix
     over the direct sum of the groups.  Source positions that are image
@@ -179,10 +179,10 @@ def cube_ranks(m: int, level, rank, edge, towers=None) -> dict:
     prev_rank: dict = {}
     cleared: dict = {}
     cur = level(0)
-    cur_layout, cur_dims = _layout(cur, rank, towers)
+    cur_layout, cur_dims = _layout(cur, rank)
     for j in range(m + 1):
         nxt = level(j + 1) if j < m else {}
-        nxt_layout, nxt_dims = _layout(nxt, rank, towers)
+        nxt_layout, nxt_dims = _layout(nxt, rank)
         ranks: dict = {}
         pivots: dict = {}
         for tw, sources in cur_layout.items():
@@ -229,28 +229,27 @@ def uber_homology(X: SimplicialComplex, cap: int | None = None,
                   bidegrees=None) -> dict:
     """Trigraded ranks {(j, i, k): rank} of the colour-cube homology.
 
-    bidegrees, when given, restricts the computation to those (i, k) towers;
-    each tower is an independent complex, so the restriction is exact.
+    bidegrees, when given, keeps only those (i, k) towers of the result.
     """
     if X.is_void:
         return {}
     _check_cap(X.vertex_count, cap)
-    if ((1 << X.vertex_count) - 1 not in X.simplices
-            and all(s.bit_count() <= 2 for s in X.simplices)):
-        return _graph_cube(X, bidegrees)
-    return _engine_cube(X, bidegrees)
+    graph = ((1 << X.vertex_count) - 1 not in X.simplices
+             and all(s.bit_count() <= 2 for s in X.simplices))
+    ranks = _graph_cube(X) if graph else _engine_cube(X)
+    return {key: r for key, r in ranks.items() if bidegrees is None or key[1:] in bidegrees}
 
 
-def _engine_cube(X: SimplicialComplex, bidegrees=None, lowest: int = 0) -> dict:
+def _engine_cube(X: SimplicialComplex, lowest: int = 0) -> dict:
     """uber_homology of a nonvoid X from per-colouring block homology, with
     the levels below lowest left empty."""
     core = _core(X)
     ranks = cube_ranks(X.vertex_count, lambda j: _level(X, core, j) if j >= lowest else {},
-                       _block_rank, _edge_columns, bidegrees)
+                       _block_rank, _edge_columns)
     return {(j, i, k): r for (j, (i, k)), r in ranks.items()}
 
 
-def _graph_cube(X: SimplicialComplex, bidegrees=None) -> dict:
+def _graph_cube(X: SimplicialComplex) -> dict:
     """uber_homology of a nonvoid 1-dimensional X that is not a simplex: tower
     (i, k) is the bottom row's tower (0, k), 2i levels up (module docstring)."""
     m = X.vertex_count
@@ -258,11 +257,9 @@ def _graph_cube(X: SimplicialComplex, bidegrees=None) -> dict:
         return {}
     adj = [sum(1 << u for u in range(m) if u != v and (1 << u | 1 << v) in X.simplices)
            for v in range(m)]
-    wanted = [(i, k) for i in (0, 1) for k in (0, 1)
-              if bidegrees is None or (i, k) in bidegrees]
-    bottom = {0: _component_cube_ranks(m, adj) if {(0, 0), (1, 0)} & set(wanted) else {},
-              1: {0: _dominating_vertices(adj)}}
-    return {(j + 2 * i, i, k): r for i, k in wanted for j, r in bottom[k].items() if r}
+    bottom = {0: _component_cube_ranks(m, adj), 1: {0: _dominating_vertices(adj)}}
+    return {(j + 2 * i, i, k): r for i in (0, 1) for k in (0, 1)
+            for j, r in bottom[k].items() if r}
 
 
 def _black_components_with_roots(adj, bits: int):

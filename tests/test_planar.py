@@ -1,6 +1,7 @@
 """Unit tests for plane graphs, duals, and the overlay matching identity."""
 
 import random
+from types import ModuleType
 
 import networkx as nx
 import pytest
@@ -268,11 +269,22 @@ def test_map_automorphisms_are_the_graph_automorphisms(planes):
     assert planar._map_automorphisms(_asymmetric_plane_graph()) == {tuple(range(6))}
 
 
-def test_forged_automorphism_refused_before_use(planes, monkeypatch):
-    def unreachable(edge_list):
-        raise AssertionError("survivor homology computed with a forged automorphism")
+def _only_enumerator(monkeypatch, replacement):
+    """Patch matching_blocks, the one matching enumerator planar holds; it
+    holds no module through which it could reach another."""
+    held = {name for name, value in vars(planar).items()
+            if name.startswith("matching") or isinstance(value, ModuleType)}
+    assert held == {"matching_blocks"}, held
+    monkeypatch.setattr(planar, "matching_blocks", replacement)
 
-    monkeypatch.setattr(planar, "_reduced_matching_homology", unreachable)
+
+def test_forged_automorphism_refused_before_use(planes, monkeypatch):
+    """A forged automorphism raises before any matching, black, white or
+    survivor, is enumerated."""
+    def unreachable(*args):
+        raise AssertionError("matchings enumerated with a forged automorphism")
+
+    _only_enumerator(monkeypatch, unreachable)
     T = tait_graph(planes["prism"])
     identity = tuple(range(6))
     # the first sends edge (0, 3) to the non-edge (1, 3); the second is not onto
@@ -295,18 +307,14 @@ def test_overlay_ranks_against_naive_oracle(planes):
 
 
 def test_tait_never_enumerates_the_overlay(planes, tmp_path, capsys, monkeypatch):
-    original = planar.matching_complex_of_edges
+    original = planar.matching_blocks
     sizes = []
 
-    def recording(edges):
+    def recording(edges, part):
         sizes.append(len(edges))
-        return original(edges)
+        return original(edges, part)
 
-    def unreachable(*args):
-        raise AssertionError("tait enumerated the overlay")
-
-    monkeypatch.setattr(planar, "matching_complex_of_edges", recording)
-    monkeypatch.setattr(planar, "matching_blocks", unreachable)
+    _only_enumerator(monkeypatch, recording)
     path = tmp_path / "prism.plane"
     path.write_text(format_plane_graph(planes["prism"]))
     assert cli.main(["tait", str(path)]) == 0
@@ -335,8 +343,7 @@ def test_theorem42_cap(planes, monkeypatch):
     def unreachable(*args):
         raise AssertionError("matchings enumerated past the cap")
 
-    for enumerator in ("matching_complex_of_edges", "matching_blocks"):
-        monkeypatch.setattr(planar, enumerator, unreachable)
+    _only_enumerator(monkeypatch, unreachable)
     T = tait_graph(planes["wheel9"])  # 18 primal edges
     assert T.crossing_count > planar.MAX_OVERLAY_EDGES
     with pytest.raises(CapExceeded):
@@ -346,22 +353,27 @@ def test_theorem42_cap(planes, monkeypatch):
 
 
 def test_theorem42_survivor_homology_once_per_orbit(planes, monkeypatch):
-    """The right-hand side computes one reduced homology per orbit of the
-    crossing sets used by white matchings under the graph's automorphisms,
-    fewer than one per crossing set."""
-    original = planar._reduced_matching_homology
+    """The right-hand side enumerates one survivor matching complex per
+    orbit of the crossing sets used by white matchings under the graph's
+    automorphisms, fewer than one per crossing set, besides the black and
+    white edge lists themselves."""
+    original = planar.matching_blocks
+    calls = []
+
+    def counting(edges, part):
+        calls.append(tuple(edges))
+        return original(edges, part)
+
+    _only_enumerator(monkeypatch, counting)
     expected = {"cube": (78, 2317), "prism": (49, 366), "wheel4": (40, 214)}
     for name, (orbit_count, set_count) in expected.items():
-        calls = []
-
-        def counting(edge_list):
-            calls.append(tuple(edge_list))
-            return original(edge_list)
-
-        monkeypatch.setattr(planar, "_reduced_matching_homology", counting)
+        calls.clear()
         T = tait_graph(planes[name])
         overlay_ranks(T)
-        white = T.white_edges()
+        black, white = tuple(T.black_edges()), tuple(T.white_edges())
+        assert calls.count(black) == calls.count(white) == 1, name
+        survivors = [c for c in calls if c not in (black, white)]
+        assert all(len(c) < len(black) and set(c) <= set(black) for c in survivors), name
         crossing_sets = {frozenset(frozenset(T.crossings[i // 2][:2]) for i in vertices_of(m))
                          for m in matching_complex_of_edges(white).simplices}
         autos = _graph_automorphisms(T.plane.graph)
@@ -370,5 +382,5 @@ def test_theorem42_survivor_homology_once_per_orbit(planes, monkeypatch):
             if R not in seen:
                 orbits += 1
                 seen |= {frozenset(frozenset(g[v] for v in e) for e in R) for g in autos}
-        assert len(calls) == orbits == orbit_count < len(crossing_sets) == set_count, name
-        assert len(set(calls)) == len(calls), name
+        assert len(survivors) == orbits == orbit_count < len(crossing_sets) == set_count, name
+        assert len(set(survivors)) == len(survivors), name
