@@ -7,8 +7,11 @@ prints aligned key/value rows and `csv` flat rows.  The `dissim` command
 defaults to the pairwise CSV corpus format.
 
 Each subcommand is declared once, in the COMMANDS table: its handler (which
-returns a JSON-ready dict), help text, options and default format.  Both
-the argument parser and the dispatch in `main` read that table.
+takes the parsed input and returns a JSON-ready dict), what it reads (a
+complex, a graph, a graph6 corpus or a plane graph), help text, options and
+default format.  Both the argument parser and `main` read that table: `main`
+reads and parses the input, runs the handler, stamps the report with the
+input's SHA-256 and the command name, and renders it.
 
 Exit codes: 0 success; 2 malformed input or colouring; 3 colouring length
 mismatch; 4 resource cap exceeded; 5 an engine invariant failed (a bug).
@@ -39,8 +42,8 @@ from .graphs import (Dissimilarity, SimpleGraph, first_differing_level, h0_graph
                      h1_1, h2_graph, matching_complex, parse_graph6, theta,
                      theta_classes)
 from .morse import dalmatian_closed_form, elementary_decomposition, verify_morse
-from .planar import (overlay_ranks, parse_plane_graph, tait_colouring, tait_graph,
-                     theorem42_verify)
+from .planar import (PlaneGraph, overlay_ranks, parse_plane_graph, tait_colouring,
+                     tait_graph, theorem42_verify)
 from .uber import level_masks, uber_degree0_fast, uber_homology
 
 
@@ -76,25 +79,25 @@ def _load(path: str) -> tuple[str, str]:
         raise ParseError(f"{path} is not UTF-8 text") from None
 
 
-def _load_complex(path: str) -> tuple[SimplicialComplex, str]:
-    text, digest = _load(path)
-    return read_complex(text), digest
+def _read(reads: str, path: str) -> tuple[object, str]:
+    """The parsed input of a command that reads `reads`, and its SHA-256.
 
-
-def _graph6_lines(path: str, noun: str) -> tuple[list[str], str]:
-    """The stripped graph6 lines of a file, skipping blanks and # comments;
-    a file without one is a ParseError that names what was expected."""
+    A graph is the first graph6 line of its file and a corpus is every
+    line, each as (line, graph); blanks and # comments are skipped, and a
+    file without a graph6 line is a ParseError that names what was expected.
+    """
     text, digest = _load(path)
+    if reads == "complex":
+        return read_complex(text), digest
+    if reads == "plane":
+        return parse_plane_graph(text), digest
     lines = [ln for ln in map(str.strip, text.splitlines())
              if ln and not ln.startswith("#")]
     if not lines:
-        raise ParseError(f"{path} contains no {noun}")
-    return lines, digest
-
-
-def _load_graph(path: str) -> tuple[SimpleGraph, str]:
-    lines, digest = _graph6_lines(path, "graph")
-    return parse_graph6(lines[0]), digest
+        raise ParseError(f"{path} contains no {'graphs' if reads == 'corpus' else 'graph'}")
+    if reads == "graph":
+        return parse_graph6(lines[0]), digest
+    return [(ln, parse_graph6(ln)) for ln in lines], digest
 
 
 MAX_SWEEP = 1 << 16  # colourings in one --colouring sweep
@@ -149,13 +152,11 @@ def _homology_worker(args):
     return str(eps), _bigraded(ranks)
 
 
-def _run_bigraded(args) -> dict:
+def _run_bigraded(X: SimplicialComplex, args) -> dict:
     diagonal = args.command == "diagonal"
-    X, digest = _load_complex(args.input)
     m = X.vertex_count
     colourings = _resolve_colourings(args.colouring, m)
-    report = {"input_sha256": digest, "vertex_count": m,
-              "vertex_order": list(range(m))}
+    report = {"vertex_count": m, "vertex_order": list(range(m))}
     if len(colourings) == 1:
         eps = colourings[0]
         report["colouring"], report["ranks"] = _homology_worker((X, eps.bits, m, diagonal))
@@ -180,35 +181,29 @@ def _run_bigraded(args) -> dict:
     return report
 
 
-def cmd_filtered(args) -> dict:
-    X, digest = _load_complex(args.input)
+def cmd_filtered(X: SimplicialComplex, args) -> dict:
     eps = _single_colouring(args.colouring, X.vertex_count)
     if args.level is None:
         raise ParseError("filtered needs --level")
     ranks = filtered_homology(X, eps, args.level)
-    return {"input_sha256": digest, "vertex_count": X.vertex_count,
-            "vertex_order": list(range(X.vertex_count)),
+    return {"vertex_count": X.vertex_count, "vertex_order": list(range(X.vertex_count)),
             "colouring": str(eps), "level": args.level, "ranks": _graded(ranks)}
 
 
-def cmd_euler(args) -> dict:
-    X, digest = _load_complex(args.input)
+def cmd_euler(X: SimplicialComplex, args) -> dict:
     eps = _single_colouring(args.colouring, X.vertex_count)
     coefficients = graded_euler(X, eps)
-    return {"input_sha256": digest, "vertex_count": X.vertex_count,
-            "colouring": str(eps),
+    return {"vertex_count": X.vertex_count, "colouring": str(eps),
             "coefficients": {_dimkey(k): c for k, c in coefficients.items()},
             "chi_at_1": sum(coefficients.values()), "chi_at_0": coefficients.get(0, 0)}
 
 
-def cmd_morse(args) -> dict:
-    X, digest = _load_complex(args.input)
+def cmd_morse(X: SimplicialComplex, args) -> dict:
     eps = _single_colouring(args.colouring, X.vertex_count)
     rep = verify_morse(X, eps)
     # the pairs form a matching exactly when eps is zero or dalmatian
     dalmatian = eps.bits != 0 and rep.is_matching
-    report = {"input_sha256": digest, "vertex_count": X.vertex_count,
-              "colouring": str(eps),
+    report = {"vertex_count": X.vertex_count, "colouring": str(eps),
               "is_matching": rep.is_matching, "is_acyclic": rep.is_acyclic,
               "is_morse_matching": rep.is_morse_matching,
               "is_dalmatian": dalmatian,
@@ -220,38 +215,31 @@ def cmd_morse(args) -> dict:
     return report
 
 
-def cmd_decompose(args) -> dict:
-    X, digest = _load_complex(args.input)
+def cmd_decompose(X: SimplicialComplex, args) -> dict:
     eps = _single_colouring(args.colouring, X.vertex_count)
     parts = elementary_decomposition(X, eps)
     payload = {_dimkey(v): [(vertices_of(a), vertices_of(b)) for a, b in sorted(edges)]
                for v, edges in sorted(parts.items())}
-    return {"input_sha256": digest, "vertex_count": X.vertex_count,
-            "colouring": str(eps), "by_dropped_vertex": payload}
+    return {"vertex_count": X.vertex_count, "colouring": str(eps),
+            "by_dropped_vertex": payload}
 
 
-def cmd_uber(args) -> dict:
-    X, digest = _load_complex(args.input)
+def cmd_uber(X: SimplicialComplex, args) -> dict:
     ranks = uber_homology(X, cap=args.cap)
-    return {"input_sha256": digest, "vertex_count": X.vertex_count,
-            "vertex_order": list(range(X.vertex_count)),
+    return {"vertex_count": X.vertex_count, "vertex_order": list(range(X.vertex_count)),
             "ranks": {_trikey(*key): r for key, r in sorted(ranks.items())}}
 
 
-def cmd_uber0(args) -> dict:
-    X, digest = _load_complex(args.input)
+def cmd_uber0(X: SimplicialComplex, args) -> dict:
     ranks = uber_degree0_fast(X)
-    return {"input_sha256": digest, "vertex_count": X.vertex_count,
-            "ranks": _bigraded(ranks)}
+    return {"vertex_count": X.vertex_count, "ranks": _bigraded(ranks)}
 
 
-def cmd_theta(args) -> dict:
-    G, digest = _load_graph(args.input)
+def cmd_theta(G: SimpleGraph, args) -> dict:
     if args.level is None:
         raise ParseError("theta needs --level")
     level = theta(G, args.level)
-    return {"input_sha256": digest, "vertex_count": G.vertex_count,
-            "level": args.level,
+    return {"vertex_count": G.vertex_count, "level": args.level,
             "entries": level.entries, "aggregated": level.aggregated,
             "signatures": [{"signature": sig, "count": c}
                            for sig, c in level.signature_counts]}
@@ -268,9 +256,8 @@ def _dissim_fields(m: int | None, j: int | None) -> tuple[str, str, str]:
             "theta-equivalent" if j is None else str(j))
 
 
-def cmd_dissim(args) -> dict:
-    names, digest = _graph6_lines(args.input, "graphs")
-    graphs = [parse_graph6(name) for name in names]  # fails fast on a bad line
+def cmd_dissim(corpus: list[tuple[str, SimpleGraph]], args) -> dict:
+    names, graphs = zip(*corpus)
     classes = theta_classes(graphs)
     fields = cache(_dissim_fields)  # a handful of distinct (m, j) per corpus
     pairs = []
@@ -279,42 +266,33 @@ def cmd_dissim(args) -> dict:
         key = ((m, first_differing_level(classes[a], classes[b]))
                if m == graphs[b].vertex_count else (None, None))
         pairs.append(dict(zip(DISSIM_FIELDS, (names[a], names[b], *fields(*key)))))
-    return {"input_sha256": digest, "graph_count": len(names), "pairs": pairs}
+    return {"graph_count": len(names), "pairs": pairs}
 
 
-def cmd_graph_hom(args) -> dict:
-    G, digest = _load_graph(args.input)
+def cmd_graph_hom(G: SimpleGraph, args) -> dict:
     compute = {"h0": h0_graph, "h1_0": h1_0, "h1_1": h1_1, "h2": h2_graph}[args.which]
     ranks = compute(G)
-    return {"input_sha256": digest, "vertex_count": G.vertex_count,
-            "homology": args.which, "ranks": _graded(ranks)}
+    return {"vertex_count": G.vertex_count, "homology": args.which, "ranks": _graded(ranks)}
 
 
-def cmd_matching_complex(args) -> dict:
-    G, digest = _load_graph(args.input)
+def cmd_matching_complex(G: SimpleGraph, args) -> dict:
     M = matching_complex(G)
-    return {"input_sha256": digest, "edge_count": G.edge_count,
-            "vertex_count": M.vertex_count,
+    return {"edge_count": G.edge_count, "vertex_count": M.vertex_count,
             "facets": [vertices_of(f) for f in sorted(M.facets())],
             "text": format_complex(M)}
 
 
-def cmd_tait(args) -> dict:
-    text, digest = _load(args.input)
-    P = parse_plane_graph(text)
+def cmd_tait(P: PlaneGraph, args) -> dict:
     T = tait_graph(P)
     ranks = overlay_ranks(T)
     nv, nf, ne = T.partition_sizes
-    return {"input_sha256": digest,
-            "partition": {"primal": nv, "faces": nf, "crossings": ne},
+    return {"partition": {"primal": nv, "faces": nf, "crossings": ne},
             "overlay_vertex_count": 4 * ne,
             "colouring": str(tait_colouring(T)),
             "ranks": _bigraded(ranks)}
 
 
-def cmd_verify_thm42(args) -> dict:
-    text, digest = _load(args.input)
-    P = parse_plane_graph(text)
+def cmd_verify_thm42(P: PlaneGraph, args) -> dict:
     result = theorem42_verify(P)
     nv, nf, ne = result["partition"]
     levels = {}
@@ -322,8 +300,7 @@ def cmd_verify_thm42(args) -> dict:
         levels[_dimkey(k)] = {"lhs": _graded(entry["lhs"]),
                               "rhs": _graded(entry["rhs"]),
                               "equal": entry["equal"]}
-    return {"input_sha256": digest,
-            "partition": {"primal": nv, "faces": nf, "crossings": ne},
+    return {"partition": {"primal": nv, "faces": nf, "crossings": ne},
             "levels": levels, "all_equal": result["all_equal"],
             "level0_matches_subdivision": result["level0_matches_subdivision"]}
 
@@ -365,7 +342,8 @@ def _render(report: dict, fmt: str, command: str) -> str:
 
 
 class Command(NamedTuple):
-    handler: Callable[[argparse.Namespace], dict]
+    handler: Callable[[object, argparse.Namespace], dict]  # (parsed input, args)
+    reads: str  # what _read parses: "complex", "graph", "corpus" or "plane"
     help: str
     options: tuple[str, ...] = ()  # keys of ARGUMENTS beyond input and --format
     default_format: str = "json"
@@ -385,27 +363,33 @@ ARGUMENTS = {
 }
 
 COMMANDS = {
-    "horizontal": Command(_run_bigraded, "bigraded ranks of the black-dropping differential",
+    "horizontal": Command(_run_bigraded, "complex",
+                          "bigraded ranks of the black-dropping differential",
                           ("--colouring", "--jobs", "--generators")),
-    "diagonal": Command(_run_bigraded, "bigraded ranks of the white-dropping differential",
+    "diagonal": Command(_run_bigraded, "complex",
+                        "bigraded ranks of the white-dropping differential",
                         ("--colouring", "--jobs", "--generators")),
-    "filtered": Command(cmd_filtered, "homology of the weight-bounded subcomplex",
+    "filtered": Command(cmd_filtered, "complex", "homology of the weight-bounded subcomplex",
                         ("--colouring", "--level")),
-    "euler": Command(cmd_euler, "graded Euler polynomial of a colouring", ("--colouring",)),
-    "morse": Command(cmd_morse, "matching/acyclicity report and closed form",
+    "euler": Command(cmd_euler, "complex", "graded Euler polynomial of a colouring",
                      ("--colouring",)),
-    "decompose": Command(cmd_decompose, "partition the pairing graph by dropped vertex",
-                         ("--colouring",)),
-    "uber": Command(cmd_uber, "full trigraded colour-cube ranks", ("--cap",)),
-    "uber0": Command(cmd_uber0, "degree-0 column via the star-intersection fast path"),
-    "theta": Command(cmd_theta, "level-j colouring invariant of a graph", ("--level",)),
-    "dissim": Command(cmd_dissim, "pairwise dissimilarity CSV for a graph6 corpus",
+    "morse": Command(cmd_morse, "complex", "matching/acyclicity report and closed form",
+                     ("--colouring",)),
+    "decompose": Command(cmd_decompose, "complex",
+                         "partition the pairing graph by dropped vertex", ("--colouring",)),
+    "uber": Command(cmd_uber, "complex", "full trigraded colour-cube ranks", ("--cap",)),
+    "uber0": Command(cmd_uber0, "complex",
+                     "degree-0 column via the star-intersection fast path"),
+    "theta": Command(cmd_theta, "graph", "level-j colouring invariant of a graph",
+                     ("--level",)),
+    "dissim": Command(cmd_dissim, "corpus", "pairwise dissimilarity CSV for a graph6 corpus",
                       ("--jobs",), "csv"),
-    "graph-hom": Command(cmd_graph_hom, "graph homologies (h0 from black components, "
-                         "the rest in closed form)", ("which",)),
-    "matching-complex": Command(cmd_matching_complex, "matching complex of a graph6 graph"),
-    "tait": Command(cmd_tait, "coloured overlay matching complex of a plane graph"),
-    "verify-thm42": Command(cmd_verify_thm42,
+    "graph-hom": Command(cmd_graph_hom, "graph", "graph homologies (h0 from black "
+                         "components, the rest in closed form)", ("which",)),
+    "matching-complex": Command(cmd_matching_complex, "graph",
+                                "matching complex of a graph6 graph"),
+    "tait": Command(cmd_tait, "plane", "coloured overlay matching complex of a plane graph"),
+    "verify-thm42": Command(cmd_verify_thm42, "plane",
                             "check the overlay decomposition level by level"),
 }
 
@@ -430,9 +414,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be at least 1")
+    command = COMMANDS[args.command]
     try:
-        report = COMMANDS[args.command].handler(args)
-        report["command"] = args.command
+        parsed, digest = _read(command.reads, args.input)
+        report = command.handler(parsed, args)
+        report.update(input_sha256=digest, command=args.command)
         sys.stdout.write(_render(report, args.format, args.command))
     except UberhomError as exc:
         print(f"uberhom: {exc}", file=sys.stderr)

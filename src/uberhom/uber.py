@@ -83,11 +83,13 @@ def cube_cap(override: int | None = None) -> int:
 
 
 def _check_cap(m: int, cap: int | None = None):
-    """Refuse a full cube on m vertices above the cube cap."""
+    """Refuse a full cube on m vertices above the cube cap; the message names
+    where the cap came from: an explicit cap is the CLI's --cap."""
     limit = cube_cap(cap)
     if m > limit:
+        source = CAP_ENV_VAR if cap is None else "--cap"
         raise CapExceeded(f"input has {m} vertices; the cube cap is {limit} "
-                          f"(override with {CAP_ENV_VAR})")
+                          f"(override with {source})")
 
 
 _ZERO_BLOCK = BlockHomology((), f2.homology_at([], [], 0))  # a missing target block

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from math import comb
 from pathlib import Path
 
@@ -192,11 +193,17 @@ def test_uber_cap(files, capsys, monkeypatch):
         code, out, err = run_text(capsys, ["uber", files["d2"], "--cap", "2"])
     assert (code, out) == (4, "")
     assert "the cube cap is 2" in err
+    assert err.endswith("(override with --cap)\n")  # the hint names the cap's source
     monkeypatch.setenv("UBERHOM_CAP", "2")
     code, _, err = run_text(capsys, ["uber", files["d2"]])
     assert code == 4
+    assert err.endswith("(override with UBERHOM_CAP)\n")
     code, _, _ = run_text(capsys, ["uber", files["d2"], "--cap", "5"])
     assert code == 0
+    monkeypatch.setenv("UBERHOM_CAP", "5")
+    code, _, err = run_text(capsys, ["uber", files["d2"], "--cap", "2"])
+    assert code == 4
+    assert err.endswith("(override with --cap)\n")
     monkeypatch.delenv("UBERHOM_CAP")
     code, _, err = run_text(capsys, ["horizontal", files["sparse"],
                                      "--colouring", "all"])
@@ -602,6 +609,52 @@ def test_error_exit_codes(files, capsys, tmp_path):
     code, _, _ = run_text(capsys, ["horizontal", files["d2"],
                                    "--colouring", "10"])
     assert code == 3
+
+
+def runnable_argv(name: str) -> list[str]:
+    """The options a command needs to run on a one-vertex complex or on K4:
+    graph-hom's `which`, --colouring and --level."""
+    values = {"which": ["h0"], "--colouring": ["--colouring", "0"], "--level": ["--level", "0"]}
+    return [v for option in cli.COMMANDS[name].options for v in values.get(option, [])]
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_input_contract(name, tmp_path, capsys):
+    """A missing file, a file that is not UTF-8 and a file of comments only
+    each exit 2 with one message line and no output, on every command."""
+    latin1 = tmp_path / "latin1"
+    latin1.write_bytes(b"\xff\xfe1\n")
+    comments = tmp_path / "comments"
+    comments.write_text("# nothing\n# here\n")
+    for path in (tmp_path / "missing", latin1, comments):
+        code, out, err = run_text(capsys, [name, *runnable_argv(name), str(path)])
+        assert (code, out) == (2, ""), (name, path.name, err)
+        assert err.startswith("uberhom: ") and err.count("\n") == 1, (name, err)
+        assert "Traceback" not in err
+
+
+def test_readers_are_reached_through_module_attributes(tmp_path, capsys, monkeypatch):
+    """main reaches the file loader and each parser through an attribute of
+    uberhom.cli, which is what a tracer patches: every command loads its
+    input once and parses it once, and dissim parses each graph6 line."""
+    calls = Counter()
+    for reader in ("_load", "read_complex", "parse_graph6", "parse_plane_graph"):
+        def counted(text, reader=reader, original=getattr(cli, reader)):
+            calls[reader] += 1
+            return original(text)
+        monkeypatch.setattr(cli, reader, counted)
+    graph6 = "# K4, K4 and C4\nC~\nC~\nCr\n"
+    inputs = {"complex": ("1\n0\n", "read_complex", 1), "graph": (graph6, "parse_graph6", 1),
+              "corpus": (graph6, "parse_graph6", 3),
+              "plane": (TRIANGLE_PLANE, "parse_plane_graph", 1)}
+    path = tmp_path / "input"
+    for name, command in cli.COMMANDS.items():
+        text, parser, parses = inputs[command.reads]
+        path.write_text(text)
+        calls.clear()
+        code, _, err = run_text(capsys, [name, *runnable_argv(name), str(path)])
+        assert code == 0, (name, err)
+        assert calls == {"_load": 1, parser: parses}, name
 
 
 def test_engine_error_exit_code(files, capsys, monkeypatch):

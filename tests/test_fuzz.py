@@ -5,11 +5,14 @@ flips, deleted bytes or inserted bytes each.  A mutant must either parse or
 raise an `UberhomError` that is not an `EngineError`; anything else escaping
 is a parser bug.  Whatever parses must be a valid object of its kind.
 
-`cli.main` runs every subcommand on small mutated inputs with drawn option
-values; each run must exit 0, 2, 3 or 4, never print a traceback, and
-write stdout exactly when it exits 0.
+`cli.main` runs every subcommand on small mutated inputs of the kind its
+`Command.reads` names, with drawn option values; each run must exit 0, 2, 3
+or 4, never print a traceback, and write stdout exactly when it exits 0.  A
+JSON report must carry the SHA-256 of the input bytes and the command name.
 """
 
+import hashlib
+import json
 import random
 
 from uberhom import (EngineError, UberhomError, cli, encode_graph6, format_complex,
@@ -113,14 +116,16 @@ def _size(kind: str, data: bytes) -> int:
 
 
 def _cli_seeds() -> dict[str, list[str]]:
+    """Valid inputs of each kind a command reads (`Command.reads`)."""
     planes = plane_fixtures()
+    graph6 = ([encode_graph6(G) + "\n" for G in
+               [graph("complete", 4), graph("cycle", 6), graph("path", 3)]]
+              + [">>graph6<<C~\n", "C~\nC`\nCr\n# corpus\nCF\n"])
     return {
         "complex": [format_complex(standard_complex(*spec)) for spec in
                     [("simplex", 2), ("boundary", 3), ("cycle", 5), ("cycle", 6)]]
         + ["3\n# comment line\n0 1 2  # trailing comment\n", "2\n0\n1\n"],
-        "graph6": [encode_graph6(G) + "\n" for G in
-                   [graph("complete", 4), graph("cycle", 6), graph("path", 3)]]
-        + [">>graph6<<C~\n", "C~\nC`\nCr\n# corpus\nCF\n"],
+        "graph": graph6, "corpus": graph6,
         "plane": [format_plane_graph(planes[name]) for name in
                   ["triangle", "square", "path2", "star3", "diamond"]],
     }
@@ -164,18 +169,12 @@ def _draw_argv(name: str, command, path: str, n: int, rng: random.Random) -> lis
 def test_cli_mutants(tmp_path, capsys, monkeypatch):
     rng = random.Random(4)
     seeds = _cli_seeds()
-    kinds = {"horizontal": "complex", "diagonal": "complex", "filtered": "complex",
-             "euler": "complex", "morse": "complex", "decompose": "complex",
-             "uber": "complex", "uber0": "complex", "theta": "graph6",
-             "dissim": "graph6", "graph-hom": "graph6", "matching-complex": "graph6",
-             "tait": "plane", "verify-thm42": "plane"}
-    assert sorted(kinds) == sorted(cli.COMMANDS)
-    names = sorted(kinds)
+    names = sorted(cli.COMMANDS)
     path = tmp_path / "input"
     codes = {name: set() for name in names}
     for run in range(CLI_RUNS):
         name = names[run % len(names)]
-        kind = kinds[name]
+        kind = cli.COMMANDS[name].reads
         while True:
             text = rng.choice(seeds[kind])
             data = (mutate(text, rng) if rng.random() < 0.6 else text).encode("latin-1")
@@ -198,6 +197,10 @@ def test_cli_mutants(tmp_path, capsys, monkeypatch):
         assert code in (0, 2, 3, 4), (code, argv, data, err)
         assert "Traceback" not in err, (argv, data, err)
         assert (code == 0) == bool(out), (code, argv, data, err)
+        if code == 0 and argv[argv.index("--format") + 1] == "json":
+            report = json.loads(out)
+            assert report["input_sha256"] == hashlib.sha256(data).hexdigest(), argv
+            assert report["command"] == name, argv
         codes[name].add(code)
     # every command both succeeds and fails
     assert all(0 in got and len(got) > 1 for got in codes.values()), codes
