@@ -103,36 +103,38 @@ def _read(reads: str, path: str) -> tuple[object, str]:
 MAX_SWEEP = 1 << 16  # colourings in one --colouring sweep
 
 
-def _resolve_colourings(spec: str, m: int) -> list[Colouring]:
-    if spec == "all":
-        if 1 << m > MAX_SWEEP:
-            raise CapExceeded(f"refusing to enumerate 2^{m} colourings; "
-                              f"16 vertices is the limit for --colouring all")
-        return [Colouring(bits, m) for bits in range(1 << m)]
+def _resolve_colourings(spec: str, m: int, single: str | None) -> list[int]:
+    """The masks of the colourings a --colouring spec names, counted before
+    any is built.  A spec naming more than one raises ParseError(single)
+    when single is given, and a sweep above MAX_SWEEP raises CapExceeded."""
     kind, colon, number = spec.partition(":")
-    if colon and kind in ("elementary", "level"):
+    if spec == "all":
+        count, size = 1 << m, f"2^{m}"
+    elif colon and kind in ("elementary", "level"):
         try:
             j = int(number)
         except ValueError:
             raise ParseError(f"bad colouring spec {spec!r}") from None
         if kind == "elementary":
-            return [Colouring.elementary(m, j)]
+            return [Colouring.elementary(m, j).bits]
         if not 0 <= j <= m:
             raise ParseError(f"level {j} outside 0..{m}")
-        if comb(m, j) > MAX_SWEEP:
-            raise CapExceeded(f"refusing to enumerate C({m}, {j}) = {comb(m, j)} "
-                              f"colourings; {MAX_SWEEP} is the limit for --colouring level")
-        return [Colouring(bits, m) for bits in level_masks(m, j)]
-    eps = Colouring.from_string(spec)
-    eps.check_length(m)
-    return [eps]
+        count, size = comb(m, j), f"C({m}, {j})"
+    else:
+        eps = Colouring.from_string(spec)
+        eps.check_length(m)
+        return [eps.bits]
+    if single and count > 1:
+        raise ParseError(single)
+    if count > MAX_SWEEP:
+        raise CapExceeded(f"refusing to enumerate {size} = {count} colourings; "
+                          f"{MAX_SWEEP} is the limit for --colouring {kind}")
+    return list(range(count)) if kind == "all" else level_masks(m, j)
 
 
 def _single_colouring(spec: str, m: int) -> Colouring:
-    found = _resolve_colourings(spec, m)
-    if len(found) != 1:
-        raise ParseError("this command needs a single explicit colouring")
-    return found[0]
+    masks = _resolve_colourings(spec, m, "this command needs a single explicit colouring")
+    return Colouring(masks[0], m)
 
 
 def _generator_payload(blocks) -> dict[str, list]:
@@ -155,10 +157,11 @@ def _homology_worker(args):
 def _run_bigraded(X: SimplicialComplex, args) -> dict:
     diagonal = args.command == "diagonal"
     m = X.vertex_count
-    colourings = _resolve_colourings(args.colouring, m)
+    masks = _resolve_colourings(args.colouring, m, "--generators needs a single colouring"
+                                if args.generators else None)
     report = {"vertex_count": m, "vertex_order": list(range(m))}
-    if len(colourings) == 1:
-        eps = colourings[0]
+    if len(masks) == 1:
+        eps = Colouring(masks[0], m)
         report["colouring"], report["ranks"] = _homology_worker((X, eps.bits, m, diagonal))
         if args.generators:
             blocks = horizontal_homology_with_bases(
@@ -167,9 +170,7 @@ def _run_bigraded(X: SimplicialComplex, args) -> dict:
                 blocks = dual_grading(blocks)
             report["generators"] = _generator_payload(blocks)
     else:
-        if args.generators:
-            raise ParseError("--generators needs a single colouring")
-        work = [(X, eps.bits, m, diagonal) for eps in colourings]
+        work = [(X, bits, m, diagonal) for bits in masks]
         workers = min(args.jobs, os.cpu_count() or 1, len(work))
         if workers <= 1:
             results = list(map(_homology_worker, work))

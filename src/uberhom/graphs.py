@@ -4,7 +4,7 @@ Graphs are treated as 1-dimensional complexes for everything homological; the
 module adds the graph-only layers on top: the per-level Theta invariant (the
 multiset of nonzero horizontal ranks over all colourings with j black
 vertices), corpus dissimilarity by level-wise refinement, matching complexes,
-and the four graph homologies (h0 from black components, the rest closed form).
+and the four graph homologies (h0 from `uber_homology`, the rest closed form).
 """
 
 from __future__ import annotations
@@ -16,10 +16,11 @@ from functools import cached_property
 from itertools import count
 from math import comb
 
-from .complexes import MAX_VERTICES, SimplicialComplex, from_facets, vertices_of
+from .complexes import (MAX_INPUT_FACES, MAX_VERTICES, SimplicialComplex, from_facets,
+                        vertices_of)
 from .errors import CapExceeded, ComplexError, ParseError
-from .uber import (CAP_ENV_VAR, _black_components_with_roots, _check_cap,
-                   _component_cube_ranks, _dominating_vertices, cube_cap, level_masks)
+from .uber import (_black_components_with_roots, _check_cap, _dominating_vertices,
+                   level_masks, uber_homology)
 
 
 @dataclass(frozen=True)
@@ -158,10 +159,13 @@ def graph_as_complex(G: SimpleGraph) -> SimplicialComplex:
 # matching complexes
 
 
-def matching_blocks(endpoints, part: int) -> dict[tuple[int, int], list[int]]:
+def matching_blocks(endpoints, part: int,
+                    limit: int | None = None) -> dict[tuple[int, int], list[int]]:
     """The nonempty matchings of an edge list, as masks of edge indices, filed
     under (dimension, mask & part) as the search finds them.  Endpoints can be
-    any hashable labels; parallel edges simply exclude one another."""
+    any hashable labels; parallel edges simply exclude one another.  More than
+    limit matchings, when one is given, raise CapExceeded as soon as the
+    search reaches them; without one the search runs unchecked."""
     n = len(endpoints)
     if n > MAX_VERTICES:
         raise ComplexError(f"{n} edges exceed the supported maximum")
@@ -172,6 +176,7 @@ def matching_blocks(endpoints, part: int) -> dict[tuple[int, int], list[int]]:
         at[b] = at.get(b, 0) | 1 << idx
     clash = {1 << idx: at[a] | at[b] for idx, (a, b) in enumerate(endpoints)}
     levels: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
+    budget = limit
 
     def extend(mask: int, free: int, depth: int):
         # free holds the edges above mask's last one that clash with none of it
@@ -182,26 +187,37 @@ def matching_blocks(endpoints, part: int) -> dict[tuple[int, int], list[int]]:
             grown = mask | bit
             files.setdefault(grown & part, []).append(grown)
             if rest := free & ~clash[bit]:
-                extend(grown, rest, depth + 1)
+                step(grown, rest, depth + 1)
 
-    extend(0, (1 << n) - 1, 0)
+    def counted(mask: int, free: int, depth: int):
+        # each bit of free files one matching
+        nonlocal budget
+        budget -= free.bit_count()
+        if budget < 0:
+            raise CapExceeded(f"the graph has more than {limit} matchings; "
+                              f"{limit} is the limit for a matching complex")
+        extend(mask, free, depth)
+
+    step = extend if limit is None else counted
+    step(0, (1 << n) - 1, 0)
     return {(d, key): block for d, files in enumerate(levels)
             for key, block in files.items()}
 
 
-def matching_complex_of_edges(endpoints) -> SimplicialComplex:
+def matching_complex_of_edges(endpoints, limit: int | None = None) -> SimplicialComplex:
     """Matching complex of an explicit edge list (see matching_blocks), on the
     edge indices; it may be disconnected or void."""
-    blocks = matching_blocks(endpoints, 0)
+    blocks = matching_blocks(endpoints, 0, limit)
     # every subset of a matching is a matching, so the set is face-closed
     return SimplicialComplex(max(len(endpoints), 1), frozenset().union(*blocks.values()))
 
 
 def matching_complex(G: SimpleGraph) -> SimplicialComplex:
-    """Matching complex of a simple graph; vertex i is the i-th sorted edge."""
+    """Matching complex of a simple graph; vertex i is the i-th sorted edge.
+    More matchings than an input complex may have faces raise CapExceeded."""
     if not G.edges:
         raise ComplexError("matching complex needs at least one edge")
-    return matching_complex_of_edges(list(G.edges))
+    return matching_complex_of_edges(list(G.edges), MAX_INPUT_FACES)
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +287,17 @@ def theta(G: SimpleGraph, j: int) -> ThetaLevel:
     Every colouring's signature comes from closed_form_signature, so no
     homology is computed.  Levels 2 and up keep graph_as_complex's contract
     and raise ComplexError on a disconnected graph, although the counts hold
-    for disconnected graphs too.  A level of C(m, j) > 2^cap colourings, more
-    than the largest cube the cube cap allows, raises CapExceeded before any
-    colouring is built.
+    for disconnected graphs too.  uber._check_cap refuses a level of
+    C(m, j) > 2^cap colourings, more than the largest cube the cube cap
+    allows, before any colouring is built.
     """
     m = G.vertex_count
     if not 0 <= j <= m:
         raise ComplexError(f"level {j} out of range for {m} vertices")
     if j >= 2 and not G.is_connected:
         raise ComplexError("graph must be connected to convert to a complex")
-    limit, size = cube_cap(), comb(m, j)
-    if size > 1 << limit:
-        raise CapExceeded(f"level {j} has C({m}, {j}) = {size} colourings; the cube "
-                          f"cap is {limit}, which allows 2^{limit} "
-                          f"(override with {CAP_ENV_VAR})")
+    size = comb(m, j)
+    _check_cap(size, lambda: f"level {j} has C({m}, {j}) = {size} colourings")
     signatures = [closed_form_signature(G, mask) for mask in level_masks(m, j)]
     entries = tuple(sorted(
         ((j, i, k, r) for sig in signatures for i, k, r in sig), reverse=True))
@@ -349,17 +362,13 @@ def dissimilarity(G1: SimpleGraph, G2: SimpleGraph) -> Dissimilarity:
 
 
 def h0_graph(G: SimpleGraph) -> dict[int, int]:
-    """Degree-(0,0) cube homology {j: rank} via black components.
-
-    The weight-0 horizontal homology of a colouring is spanned by the
-    components of the black subgraph; `uber._component_cube_ranks`, which
-    `uber_homology` runs on every 1-dimensional complex, reduces their cube.
-    The 2^m colourings are refused above the cube cap.
-    """
+    """Bidegree-(0, 0) cube homology {j: rank}: the (0, 0) tower of
+    `uber_homology` on the graph as a complex, which is the cube of black
+    components (refused, like `uber`, above the cube cap)."""
     if not G.is_connected:
         raise ComplexError("graph homologies need a connected graph")
-    _check_cap(G.vertex_count)
-    return _component_cube_ranks(G.vertex_count, G.adjacency)
+    ranks = uber_homology(graph_as_complex(G), bidegrees={(0, 0)})
+    return {j: r for (j, _, _), r in ranks.items()}
 
 
 def h1_0(G: SimpleGraph) -> dict[int, int]:

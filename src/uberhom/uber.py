@@ -32,13 +32,12 @@ j + 2 of row i + 1, is an isomorphism: towers (1, 0) and (1, 1) are
 level 0, two levels up.  A vertex outside X makes every tower acyclic.
 
 One reducer, `cube_ranks`, takes the homology of every tower of every
-colour cube: the block cube and the black-component cube
-(`_component_cube_ranks`, also behind `graphs.h0_graph`).  It holds two
-adjacent levels at a time and clears (Chen and Kerber, "Persistent homology
-computation with a twist", EuroCG 2011): a source position that is the
-lowest bit of an image row of the previous differential is skipped, since
-that row is a boundary and the differential kills it.  Clearing needs only
-d^2 = 0, so it holds for both.
+colour cube: the block cube and the black-component cube (the (0, 0) tower,
+which `graphs.h0_graph` reads).  It holds two adjacent levels at a time and
+clears (Chen and Kerber, "Persistent homology computation with a twist",
+EuroCG 2011): a source position that is the lowest bit of an image row of
+the previous differential is skipped, since that row is a boundary and the
+differential kills it.  Clearing needs only d^2 = 0, so it holds for both.
 
 For every other X each colouring's blocks come from one
 `horizontal_homology_with_bases` call, and the cube edge maps go through
@@ -82,14 +81,15 @@ def cube_cap(override: int | None = None) -> int:
     return cap
 
 
-def _check_cap(m: int, cap: int | None = None):
-    """Refuse a full cube on m vertices above the cube cap; the message names
-    where the cap came from: an explicit cap is the CLI's --cap."""
+def _check_cap(colourings: int, what, cap: int | None = None):
+    """Refuse more than 2^cap colourings, the largest cube the cap allows: the
+    one check of the cube cap.  what() describes the work, called only to word
+    the refusal, which names the cap's source (an explicit cap is --cap)."""
     limit = cube_cap(cap)
-    if m > limit:
+    if colourings > 1 << limit:
         source = CAP_ENV_VAR if cap is None else "--cap"
-        raise CapExceeded(f"input has {m} vertices; the cube cap is {limit} "
-                          f"(override with {source})")
+        raise CapExceeded(f"{what()}; the cube cap is {limit}, which allows 2^{limit} "
+                          f"colourings (override with {source})")
 
 
 _ZERO_BLOCK = BlockHomology((), f2.homology_at([], [], 0))  # a missing target block
@@ -235,8 +235,9 @@ def uber_homology(X: SimplicialComplex, cap: int | None = None,
     """
     if X.is_void:
         return {}
-    _check_cap(X.vertex_count, cap)
-    graph = ((1 << X.vertex_count) - 1 not in X.simplices
+    m = X.vertex_count
+    _check_cap(1 << m, lambda: f"input has {m} vertices, so 2^{m} colourings", cap)
+    graph = ((1 << m) - 1 not in X.simplices
              and all(s.bit_count() <= 2 for s in X.simplices))
     ranks = _graph_cube(X) if graph else _engine_cube(X)
     return {key: r for key, r in ranks.items() if bidegrees is None or key[1:] in bidegrees}

@@ -87,3 +87,48 @@ def test_every_public_member_has_a_caller_outside_the_tests():
                            for where, attr, line in reads):
                     unused.append(f"{cls.name}.{member.name}")
     assert unused == []
+
+
+def _functions(path: Path):
+    """(module.function, node) of each top-level function and method; a
+    nested function counts as part of the one enclosing it."""
+    module = path.stem
+    for node in ast.parse(path.read_text()).body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for fn in members:
+            if isinstance(fn, ast.FunctionDef):
+                yield f"{module}.{fn.name}", fn
+
+
+def _literal_text(fn: ast.FunctionDef) -> str:
+    """The string literals of a function outside its docstring, an f-string's
+    fields shown as {}."""
+    body = fn.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    parts = []
+    for node in (n for stmt in body for n in ast.walk(stmt)):
+        if isinstance(node, ast.JoinedStr):
+            parts.append("".join(v.value if isinstance(v, ast.Constant) else "{}"
+                                 for v in node.values))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts.append(node.value)
+    return "\n".join(parts)
+
+
+def test_each_limit_has_one_owner():
+    """CapExceeded is raised only by the one check of each limit, and only
+    uber._check_cap words the cube-cap refusal."""
+    owners = {"uber._check_cap", "cli._resolve_colourings", "planar._check_overlay",
+              "complexes.read_complex", "graphs.matching_blocks"}
+    raisers, wording = set(), set()
+    for path in SOURCES:
+        for name, fn in _functions(path):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                        and getattr(node.exc.func, "id", None) == "CapExceeded"):
+                    raisers.add(name)
+            if "the cube cap is" in _literal_text(fn):
+                wording.add(name)
+    assert raisers == owners, raisers ^ owners
+    assert wording == {"uber._check_cap"}

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from math import comb
 from pathlib import Path
@@ -280,6 +281,28 @@ def test_level_sweep_cap(tmp_path, capsys, monkeypatch):
     assert "limit for --colouring level" in err
 
 
+@pytest.mark.parametrize("argv", [["filtered", "--level", "1"], ["euler"], ["morse"],
+                                  ["decompose"], ["horizontal", "--generators"]])
+def test_single_colouring_refuses_a_sweep_before_building_it(argv, tmp_path, capsys,
+                                                             monkeypatch):
+    """A command that takes one colouring, and --generators, refuse 'all' and a
+    level of several colourings with exit 2 at every vertex count, counting
+    the colourings before any is built."""
+    def unreachable(*args):
+        raise AssertionError("colourings built before the spec was counted")
+
+    monkeypatch.setattr(cli, "level_masks", unreachable)
+    monkeypatch.setattr(cli, "Colouring", unreachable)
+    for m in (5, 17):
+        path = tmp_path / f"cycle{m}.cplx"
+        path.write_text(format_complex(standard_complex("cycle", m)))
+        for spec in ("all", "level:2"):
+            code, out, err = run_text(capsys, [argv[0], str(path), "--colouring", spec,
+                                               *argv[1:]])
+            assert (code, out) == (2, ""), (argv, m, spec)
+            assert err.startswith("uberhom: ") and err.count("\n") == 1, err
+
+
 def test_input_closure_cap(tmp_path, capsys, monkeypatch):
     """A complex file whose facets have more than 2^20 faces, counted once
     per facet, exits 4 before any face is closed."""
@@ -331,10 +354,12 @@ def test_theta_level_bound(tmp_path, capsys, monkeypatch):
     code, out, err = run_text(capsys, ["theta", str(path), "--level", "20"])
     assert (code, out) == (4, "")
     assert "the cube cap" in err
+    assert err.endswith("(override with UBERHOM_CAP)\n")
     path.write_text(f"{path40}\n{path40}\n")
     monkeypatch.setenv("UBERHOM_CAP", "12")  # refused at level 3, not 6
     code, out, err = run_text(capsys, ["dissim", str(path)])
     assert (code, out) == (4, "")
+    assert err.endswith("(override with UBERHOM_CAP)\n")
     monkeypatch.delenv("UBERHOM_CAP")
     path.write_text("Flea?\nFle_O\nFz`a?\nFrSJG\nFheoW\n")  # the last two Theta-equal
     code, out, _ = run_text(capsys, ["dissim", str(path)])
@@ -467,7 +492,7 @@ def test_graph_hom_h0_cap(tmp_path, capsys, monkeypatch):
     def unreachable(m, adj):
         raise AssertionError("component cube built past the cap")
 
-    monkeypatch.setattr(graphs, "_component_cube_ranks", unreachable)
+    monkeypatch.setattr(uber, "_component_cube_ranks", unreachable)
     code, out, err = run_text(capsys, ["graph-hom", "h0", str(paths[24])])
     assert (code, out) == (4, "")
     assert "the cube cap is 20" in err and "--cap" not in err
@@ -482,6 +507,24 @@ def test_matching_complex_command(files, capsys):
     assert report["vertex_count"] == 6
     M = matching_complex(parse_graph6("C~"))
     assert report["text"] == format_complex(M)
+
+
+def test_matching_complex_bound(tmp_path, capsys, monkeypatch):
+    """matching-complex exits 4 once the search has found more matchings than
+    an input complex may have faces; a graph under the limit keeps its output."""
+    monkeypatch.setattr(graphs, "MAX_INPUT_FACES", 1 << 12)
+    path = tmp_path / "edges.g6"
+    path.write_text(encode_graph6(SimpleGraph.from_edges(
+        64, [(2 * i, 2 * i + 1) for i in range(32)])) + "\n")  # 2^32 matchings
+    start = time.perf_counter()
+    code, out, err = run_text(capsys, ["matching-complex", str(path)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert "the limit for a matching complex" in err
+    path.write_text(encode_graph6(SimpleGraph.from_edges(
+        8, [(u, v) for v in range(8) for u in range(v)])) + "\n")  # K_8: 763
+    report = run_json(capsys, ["matching-complex", str(path)])
+    assert report["edge_count"] == 28 and report["vertex_count"] == 28
 
 
 def test_tait(files, capsys):
