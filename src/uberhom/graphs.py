@@ -165,7 +165,7 @@ def matching_blocks(endpoints, part: int,
     under (dimension, mask & part) as the search finds them.  Endpoints can be
     any hashable labels; parallel edges simply exclude one another.  More than
     limit matchings, when one is given, raise CapExceeded as soon as the
-    search reaches them; without one the search runs unchecked."""
+    search reaches them."""
     n = len(endpoints)
     if n > MAX_VERTICES:
         raise ComplexError(f"{n} edges exceed the supported maximum")
@@ -176,10 +176,16 @@ def matching_blocks(endpoints, part: int,
         at[b] = at.get(b, 0) | 1 << idx
     clash = {1 << idx: at[a] | at[b] for idx, (a, b) in enumerate(endpoints)}
     levels: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
-    budget = limit
+    budget = 1 << n if limit is None else limit  # n edges have fewer than 2^n matchings
 
     def extend(mask: int, free: int, depth: int):
-        # free holds the edges above mask's last one that clash with none of it
+        # free holds the edges above mask's last one that clash with none of it;
+        # each of its bits files one matching
+        nonlocal budget
+        budget -= free.bit_count()
+        if budget < 0:
+            raise CapExceeded(f"the graph has more than {limit} matchings; "
+                              f"{limit} is the limit for a matching complex")
         files = levels[depth]
         while free:
             bit = free & -free
@@ -187,27 +193,17 @@ def matching_blocks(endpoints, part: int,
             grown = mask | bit
             files.setdefault(grown & part, []).append(grown)
             if rest := free & ~clash[bit]:
-                step(grown, rest, depth + 1)
+                extend(grown, rest, depth + 1)
 
-    def counted(mask: int, free: int, depth: int):
-        # each bit of free files one matching
-        nonlocal budget
-        budget -= free.bit_count()
-        if budget < 0:
-            raise CapExceeded(f"the graph has more than {limit} matchings; "
-                              f"{limit} is the limit for a matching complex")
-        extend(mask, free, depth)
-
-    step = extend if limit is None else counted
-    step(0, (1 << n) - 1, 0)
+    extend(0, (1 << n) - 1, 0)
     return {(d, key): block for d, files in enumerate(levels)
             for key, block in files.items()}
 
 
-def matching_complex_of_edges(endpoints, limit: int | None = None) -> SimplicialComplex:
+def matching_complex_of_edges(endpoints) -> SimplicialComplex:
     """Matching complex of an explicit edge list (see matching_blocks), on the
     edge indices; it may be disconnected or void."""
-    blocks = matching_blocks(endpoints, 0, limit)
+    blocks = matching_blocks(endpoints, 0)
     # every subset of a matching is a matching, so the set is face-closed
     return SimplicialComplex(max(len(endpoints), 1), frozenset().union(*blocks.values()))
 
@@ -217,7 +213,8 @@ def matching_complex(G: SimpleGraph) -> SimplicialComplex:
     More matchings than an input complex may have faces raise CapExceeded."""
     if not G.edges:
         raise ComplexError("matching complex needs at least one edge")
-    return matching_complex_of_edges(list(G.edges), MAX_INPUT_FACES)
+    blocks = matching_blocks(list(G.edges), 0, MAX_INPUT_FACES)
+    return SimplicialComplex(len(G.edges), frozenset().union(*blocks.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +294,7 @@ def theta(G: SimpleGraph, j: int) -> ThetaLevel:
     if j >= 2 and not G.is_connected:
         raise ComplexError("graph must be connected to convert to a complex")
     size = comb(m, j)
-    _check_cap(size, lambda: f"level {j} has C({m}, {j}) = {size} colourings")
+    _check_cap(size, f"level {j} has C({m}, {j}) = {size} colourings")
     signatures = [closed_form_signature(G, mask) for mask in level_masks(m, j)]
     entries = tuple(sorted(
         ((j, i, k, r) for sig in signatures for i, k, r in sig), reverse=True))

@@ -81,14 +81,15 @@ def cube_cap(override: int | None = None) -> int:
     return cap
 
 
-def _check_cap(colourings: int, what, cap: int | None = None):
+def _check_cap(colourings: int, what: str, cap: int | None = None):
     """Refuse more than 2^cap colourings, the largest cube the cap allows: the
-    one check of the cube cap.  what() describes the work, called only to word
-    the refusal, which names the cap's source (an explicit cap is --cap)."""
+    one check of the cube cap.  what describes the work in the refusal, which
+    names the cap's source (an explicit cap is --cap).  The comparison reads
+    bit lengths, so no cap, however large, builds 2^cap."""
     limit = cube_cap(cap)
-    if colourings > 1 << limit:
+    if (colourings - 1).bit_length() > limit:  # colourings > 2^limit
         source = CAP_ENV_VAR if cap is None else "--cap"
-        raise CapExceeded(f"{what()}; the cube cap is {limit}, which allows 2^{limit} "
+        raise CapExceeded(f"{what}; the cube cap is {limit}, which allows 2^{limit} "
                           f"colourings (override with {source})")
 
 
@@ -236,7 +237,7 @@ def uber_homology(X: SimplicialComplex, cap: int | None = None,
     if X.is_void:
         return {}
     m = X.vertex_count
-    _check_cap(1 << m, lambda: f"input has {m} vertices, so 2^{m} colourings", cap)
+    _check_cap(1 << m, f"input has {m} vertices, so 2^{m} colourings", cap)
     graph = ((1 << m) - 1 not in X.simplices
              and all(s.bit_count() <= 2 for s in X.simplices))
     ranks = _graph_cube(X) if graph else _engine_cube(X)

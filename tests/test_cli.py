@@ -209,6 +209,14 @@ def test_uber_cap(files, capsys, monkeypatch):
     code, _, err = run_text(capsys, ["horizontal", files["sparse"],
                                      "--colouring", "all"])
     assert code == 4  # 17 vertices exceeds the --colouring all limit
+    # a huge cap allows the work without building 2^cap (12.5 GB at 10^11)
+    huge = str(10 ** 11)
+    assert run_text(capsys, ["uber", files["d2"], "--cap", huge])[0] == 0
+    monkeypatch.setenv("UBERHOM_CAP", huge)
+    for argv in (["uber", files["d2"]], ["graph-hom", "h0", files["k4"]],
+                 ["theta", files["k4"], "--level", "2"], ["dissim", files["corpus"]]):
+        code, out, err = run_text(capsys, argv)
+        assert (code, err) == (0, "") and out, argv
 
 
 def test_uber_cap_comes_before_the_component_cube(tmp_path, capsys, monkeypatch):
