@@ -15,7 +15,7 @@ from .graphs import (Dissimilarity, SimpleGraph, closed_form_signature, dissimil
                      encode_graph6, first_differing_level, graph_as_complex, h0_graph,
                      h1_0, h1_1, h2_graph, matching_complex, matching_complex_of_edges,
                      parse_graph6, theta, theta_classes)
-from .morse import dalmatian_closed_form, elementary_decomposition, verify_morse
+from .morse import elementary_decomposition, verify_morse
 from .planar import (PlaneGraph, format_plane_graph, overlay_ranks, parse_plane_graph,
                      tait_colouring, tait_graph, theorem42_verify)
 from .uber import uber_degree0_fast, uber_homology, uber_top_level

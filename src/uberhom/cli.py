@@ -26,6 +26,7 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 from collections.abc import Callable
 from functools import cache
 from itertools import combinations
@@ -36,12 +37,13 @@ from typing import NamedTuple
 
 from .coloured import (Colouring, diagonal_homology, dual_grading, filtered_homology,
                        graded_euler, horizontal_homology, horizontal_homology_with_bases)
-from .complexes import SimplicialComplex, format_complex, read_complex, vertices_of
+from .complexes import (SimplicialComplex, _format_facets, dim_of, read_complex,
+                        vertices_of)
 from .errors import CapExceeded, ParseError, UberhomError
 from .graphs import (Dissimilarity, SimpleGraph, first_differing_level, h0_graph, h1_0,
                      h1_1, h2_graph, matching_complex, parse_graph6, theta,
                      theta_classes)
-from .morse import dalmatian_closed_form, elementary_decomposition, verify_morse
+from .morse import elementary_decomposition, verify_morse
 from .planar import (PlaneGraph, overlay_ranks, parse_plane_graph, tait_colouring,
                      tait_graph, theorem42_verify)
 from .uber import level_masks, uber_degree0_fast, uber_homology
@@ -211,8 +213,9 @@ def cmd_morse(X: SimplicialComplex, args) -> dict:
               "critical_cells": [vertices_of(s) for s in rep.critical_cells],
               "critical_by_dim": _graded(rep.critical_by_dim())}
     if dalmatian:
-        form = dalmatian_closed_form(X, eps)
-        report["closed_form_ranks"] = _bigraded(form.ranks)
+        # the closed form: black vertices at (0, 0), white d-cells at (d, d + 1)
+        report["closed_form_ranks"] = _bigraded(Counter(
+            (dim_of(s), (s & ~eps.bits).bit_count()) for s in rep.critical_cells))
     return report
 
 
@@ -278,9 +281,10 @@ def cmd_graph_hom(G: SimpleGraph, args) -> dict:
 
 def cmd_matching_complex(G: SimpleGraph, args) -> dict:
     M = matching_complex(G)
+    facets = M.facets()
     return {"edge_count": G.edge_count, "vertex_count": M.vertex_count,
-            "facets": [vertices_of(f) for f in sorted(M.facets())],
-            "text": format_complex(M)}
+            "facets": [vertices_of(f) for f in sorted(facets)],
+            "text": _format_facets(M.vertex_count, facets)}
 
 
 def cmd_tait(P: PlaneGraph, args) -> dict:

@@ -248,6 +248,11 @@ def read_complex(text: str) -> SimplicialComplex:
 
 
 def format_complex(X: SimplicialComplex) -> str:
-    lines = [str(X.vertex_count)]
-    lines += [" ".join(map(str, vertices_of(f))) for f in X.facets()]
+    return _format_facets(X.vertex_count, X.facets())
+
+
+def _format_facets(vertex_count: int, facets) -> str:
+    """The text form of a complex, given its facets in (dimension, mask) order."""
+    lines = [str(vertex_count)]
+    lines += [" ".join(map(str, vertices_of(f))) for f in facets]
     return "\n".join(lines) + "\n"

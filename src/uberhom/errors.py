@@ -24,7 +24,8 @@ class ComplexError(UberhomError):
 
 
 class InvalidColouring(UberhomError):
-    """A colouring that fails a structural precondition (e.g. not dalmatian)."""
+    """A malformed colouring: no vertices, bits beyond its length, or an
+    elementary vertex outside it."""
 
     exit_code = 2
 

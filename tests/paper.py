@@ -2,12 +2,15 @@
 
 None of this is needed by the command line or the benchmark.  Each
 `check_*` function asserts its claim directly; the rest are the small
-complex and graph constructions the checks and the tests build on.
+complex and graph constructions the checks and the tests build on, and
+the Morse oracles (the induced pairs, the dalmatian test and the paper's
+closed form) that `verify_morse`'s one scan is compared against.
 Complex operations are functions of X here, not methods.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import networkx as nx
@@ -17,7 +20,7 @@ from uberhom import (MAX_VERTICES, Colouring, ColouringMismatch, PlaneGraph, Sim
                      mask_of, matching_complex_of_edges, simplicial_homology,
                      standard_complex, tait_colouring, uber_degree0_fast, uber_top_level,
                      vertices_of)
-from uberhom.morse import MorseReport, is_dalmatian
+from uberhom.morse import Edge, MorseReport
 from uberhom.planar import TaitGraph
 from uberhom.uber import star_intersection
 
@@ -280,6 +283,60 @@ def check_vertex_cover_bijection(G: SimpleGraph):
         assert trivial == all(bits & mask_of(e) for e in G.edges), bits
 
 
+def induced_subgraph(X: SimplicialComplex, eps: Colouring) -> frozenset[Edge]:
+    """Edges (s, s minus v) for every black vertex v of s, facet nonempty."""
+    eps.check_length(X.vertex_count)
+    edges = set()
+    for s in X.simplices:
+        for v in vertices_of(s & eps.bits):
+            face = s ^ (1 << v)
+            if face:
+                edges.add((s, face))
+    return frozenset(edges)
+
+
+def is_dalmatian(X: SimplicialComplex, eps: Colouring) -> bool:
+    """Nonzero colouring whose black closed stars are pairwise disjoint."""
+    eps.check_length(X.vertex_count)
+    if eps.bits == 0:
+        return False
+    black = eps.black_vertices()
+    for s in X.simplices:
+        owners = 0
+        for v in black:
+            if (s | (1 << v)) in X.simplices:
+                owners += 1
+                if owners > 1:
+                    return False
+    return True
+
+
+@dataclass(frozen=True)
+class DalmatianForm:
+    """Closed-form horizontal homology of a dalmatian colouring."""
+
+    ranks: dict
+    generators: tuple[tuple[int, tuple[int, int]], ...]  # (simplex, (i, k))
+
+
+def dalmatian_closed_form(X: SimplicialComplex, eps: Colouring) -> DalmatianForm:
+    """The paper's closed form: one (0,0) generator per black vertex, one
+    (d, d+1) generator per simplex outside every black closed star."""
+    assert is_dalmatian(X, eps), "colouring is not dalmatian"
+    black = eps.black_vertices()
+    generators = [(1 << v, (0, 0)) for v in black]
+    for s in X.simplices:
+        if any((s | (1 << v)) in X.simplices for v in black):
+            continue
+        d = dim_of(s)
+        generators.append((s, (d, d + 1)))
+    generators.sort(key=lambda g: (g[1], g[0]))
+    ranks: dict = {}
+    for _s, bigrading in generators:
+        ranks[bigrading] = ranks.get(bigrading, 0) + 1
+    return DalmatianForm(ranks, tuple(generators))
+
+
 def is_matching(edges) -> bool:
     """No simplex lies in two of the (simplex, facet) pairs."""
     seen = set()
@@ -334,7 +391,14 @@ def matching_is_acyclic(X: SimplicialComplex, matching) -> bool:
     return True
 
 
-def iterated_dalmatian(X: SimplicialComplex, stages) -> MorseReport:
+@dataclass(frozen=True)
+class IteratedMorse(MorseReport):
+    """A Morse report that also keeps its matched pairs."""
+
+    edges: frozenset[Edge]
+
+
+def iterated_dalmatian(X: SimplicialComplex, stages) -> IteratedMorse:
     """Union of stage-wise matchings: a stage pairs each cell with its facet
     dropping a black vertex of the stage, when both are still unmatched.
     Each stage must be dalmatian and avoid the earlier stages' closed stars,
@@ -360,4 +424,4 @@ def iterated_dalmatian(X: SimplicialComplex, stages) -> MorseReport:
         earlier |= eps.bits
     assert covered == (1 << X.vertex_count) - 1, "the closed stars miss a vertex"
     criticals = tuple(sorted(alive, key=lambda s: (dim_of(s), s)))
-    return MorseReport(frozenset(edges), True, matching_is_acyclic(X, edges), criticals)
+    return IteratedMorse(True, matching_is_acyclic(X, edges), criticals, frozenset(edges))

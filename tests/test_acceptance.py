@@ -18,14 +18,13 @@ import networkx as nx
 from conftest import best_of
 from oracles import check_split_boundaries, is_tree
 from paper import (barycentric_subdivision, check_cone_suspension, check_top_degree,
-                   check_vertex_cover_bijection, diameter, f_vector, graph,
-                   iterated_dalmatian, maximal_spacious_trees, prism_graph,
-                   spacious_trees, weight)
+                   check_vertex_cover_bijection, dalmatian_closed_form, diameter,
+                   f_vector, graph, induced_subgraph, is_dalmatian, iterated_dalmatian,
+                   maximal_spacious_trees, prism_graph, spacious_trees, weight)
 from uberhom import (
     Colouring,
     SimpleGraph,
     closed_form_signature,
-    dalmatian_closed_form,
     diagonal_homology,
     dim_of,
     dissimilarity,
@@ -46,7 +45,6 @@ from uberhom import (
     verify_morse,
     vertices_of,
 )
-from uberhom.morse import induced_subgraph, is_dalmatian
 
 # Frozen signature multisets for the two cubic 6-vertex graphs at level 2.
 # Each item is (signature, multiplicity); a signature is the descending tuple

@@ -1,4 +1,4 @@
-"""The package exports only what its own modules or the benchmark use."""
+"""The package defines and exports only what its own modules or the benchmark use."""
 
 import ast
 import inspect
@@ -23,17 +23,20 @@ def _defines(tree: ast.Module, name: str) -> bool:
     return False
 
 
+def _reads(node: ast.AST) -> list:
+    """Names one node reads: a loaded name, an attribute or imported names."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return [node.id]
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return [node.attr]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.name for alias in node.names]
+    return []
+
+
 def _references(tree: ast.Module) -> set:
-    """Names a module reads: loaded names, attributes and imported names."""
-    found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            found.add(node.attr)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            found.update(alias.name for alias in node.names)
-    return found
+    """Names a module reads."""
+    return {name for node in ast.walk(tree) for name in _reads(node)}
 
 
 def _traced_layers() -> set:
@@ -62,6 +65,28 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             continue
         if not any(name in names and not _defines(tree, name) for tree, names in reads):
             unused.append(name)
+    assert unused == []
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    """Each public top-level function and class of every src/uberhom module,
+    exported or not, is read outside its own definition by src/uberhom or a
+    perfbench script, or is a LAYERS function; code only the tests call
+    belongs in tests/paper.py."""
+    trees = {p: ast.parse(p.read_text()) for p in SOURCES + SCRIPTS}
+    reads = [(path, name, node.lineno) for path, tree in trees.items()
+             for node in ast.walk(tree) for name in _reads(node)]
+    traced = _traced_layers()
+    unused = []
+    for path in SOURCES:
+        for node in trees[path].body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_") or (path.stem, node.name) in traced):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and not (where == path and line in own)
+                       for where, name, line in reads):
+                unused.append(f"{path.stem}.{node.name}")
     assert unused == []
 
 

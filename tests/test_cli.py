@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import uberhom
-from uberhom import (SimpleGraph, SimplicialComplex, cli, complexes, encode_graph6,
+from uberhom import (Colouring, SimpleGraph, SimplicialComplex, cli, complexes, encode_graph6,
                      format_complex, format_plane_graph, graphs, matching_complex,
                      parse_graph6, planar, standard_complex, uber)
 from uberhom.cli import main
@@ -170,6 +170,51 @@ def test_morse(files, capsys):
     report = run_json(capsys, ["morse", files["d2"], "--colouring", "110"])
     assert not report["is_dalmatian"]
     assert "closed_form_ranks" not in report
+
+
+# stdout SHA-256 of `morse` then `decompose` over every colouring of each
+# suite complex, in mask order; how the Morse report is computed may change,
+# but these bytes must not
+MORSE_DIGESTS = {
+    "simplex1": "9ccc3b12ad3b551f33cb4e4378497b2e74f8c4d9e7940c61fb5d213a1093ca95",
+    "simplex2": "16ca02adb4dcbc5805217e23cf2318882101695884444ec4fcc2cedd03518e5e",
+    "simplex3": "98af95ba1ac2c075a474d8112e99490e6d3dc7580153ba5d1e19f1fccefce963",
+    "simplex4": "a5da3290f656f644dda16373491a0bfc27d20cbb0d9b9604acb62b8616586655",
+    "simplex5": "451f5036a3c3520ea920a6aa3aae650930091e645f89dc1188a1cb0357644bcd",
+    "boundary2": "3176d2a54b878f3346f5a0d98ac62080633b0b1d8ffb7d2c128129806eb61c64",
+    "boundary3": "09960609112fe929c59fda0008d0d83b390a24683beb63b16397d0ea1403e96d",
+    "boundary4": "aa2aa123a50a5e6d06d1e903b82eb5a1b938497500c0cd87240f5cfc8ada0f38",
+    "cycle4": "61739dc98379a87a243364e598b118d39163f835f61e221a1f6717c8b0e2ba21",
+    "cycle5": "eb44b28d5e87bed4b4437ab82e02e1ecb69aae2bb513cadf25d4c9c86d03958c",
+    "cycle6": "e6c9e99b307cc89508c29376848e8951f442b357983e0692a17aa568b9a14cac",
+    "path3": "e8651015b074b54503346f26f76188d331cb3c6e36cb2dd0846a347c287766c4",
+    "path5": "e84526d4940751f835bac1e5b6ef6447131f04a0df3a7dc68aa0fbe19d31917e",
+    "rp2_min": "bb2404a06be04e7f7e6088e66ae53d0ee65f7b67a335873d7bd28912708073ef",
+    "octahedron": "27df608adb3e0dd32af382e08a9b882e991c0559d391ff382e5f1cba175b45da",
+    "cone_cycle4": "9e0b78e1c8ec6c8ec57bef38400fe39eb9ed905aba70cf354f9ff372e8c5628e",
+    "complete4": "879d98a74750341f095ad84f7573a20b995d54519836c4969227ddcf8cab754c",
+    "bipartite23": "a608b46faf5110707a6cca9ab5dfe82ed7f4cb41c6860a65bb20bc0571119d3f",
+    "fig8": "8d39e13fd758fd9da661ac1cfc798b17a2974728135f8a16cf71a8e139dab07a",
+    "pendants": "e37f35bd968c33f073868371ade15a19f64107b76639a3a13b3fc3cb338334a5",
+    "two_triangles": "a00b7b534c2b9ef066dff2c29adfa3b13f2ca21b0c15de679766a224ffc934ff",
+    "three_triangles": "59983094a2454ba78b4c10201e6698ed367b8a418bd9a9fef7a4c545fcfb28bf",
+}
+
+
+def test_morse_golden(suite, tmp_path, capsys):
+    assert [name for name, _ in suite] == list(MORSE_DIGESTS)
+    for name, X in suite:
+        path = tmp_path / f"{name}.cplx"
+        path.write_text(format_complex(X))
+        digest = hashlib.sha256()
+        m = X.vertex_count
+        for bits in range(1 << m):
+            for command in ("morse", "decompose"):
+                code, out, err = run_text(capsys, [command, str(path), "--colouring",
+                                                   str(Colouring(bits, m))])
+                assert code == 0 and not err, (name, bits, command)
+                digest.update(out.encode())
+        assert digest.hexdigest() == MORSE_DIGESTS[name], name
 
 
 def test_decompose(files, capsys):
@@ -515,6 +560,34 @@ def test_matching_complex_command(files, capsys):
     assert report["vertex_count"] == 6
     M = matching_complex(parse_graph6("C~"))
     assert report["text"] == format_complex(M)
+
+
+# stdout SHA-256 of `matching-complex` on K_4, K_6 and the 7-cycle
+MATCHING_COMPLEX_DIGESTS = {
+    "C~": "3f577eb53071244fd09b0e911fd8176edd3175496b6550818294138119c47724",
+    "E~~w": "995f5db8625b7669576fa4f9c38025f745b6ee48dba25ebc6e6136ec08dfd6de",
+    "FhCKG": "70e267c8db25df6746d97837e7b30ac1711e2f682b2be91b07c936dbfdd5798f",
+}
+
+
+def test_matching_complex_scans_facets_once(tmp_path, capsys, monkeypatch):
+    """Both the facet list and the text form come from one facet scan, and
+    the report's bytes are unchanged."""
+    calls = []
+    facets = SimplicialComplex.facets
+
+    def counted(self):
+        calls.append(self)
+        return facets(self)
+
+    monkeypatch.setattr(SimplicialComplex, "facets", counted)
+    path = tmp_path / "graph.g6"
+    for line, digest in MATCHING_COMPLEX_DIGESTS.items():
+        path.write_text(line + "\n")
+        calls.clear()
+        code, out, err = run_text(capsys, ["matching-complex", str(path)])
+        assert (code, err, len(calls)) == (0, "", 1), line
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, line
 
 
 def test_matching_complex_bound(tmp_path, capsys, monkeypatch):

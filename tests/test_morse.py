@@ -1,14 +1,18 @@
-"""Unit tests for colouring-induced matchings and dalmatian closed forms."""
+"""Unit tests for colouring-induced matchings and their critical cells.
+
+`verify_morse` and `elementary_decomposition` each scan the complex once;
+the tests compare them with the oracles in `paper`: the induced pairs, the
+dalmatian test and the paper's closed form."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
 from uberhom import (
     Colouring,
-    InvalidColouring,
-    dalmatian_closed_form,
+    dim_of,
     elementary_decomposition,
     from_facets,
     horizontal_homology,
@@ -16,10 +20,10 @@ from uberhom import (
     verify_morse,
     vertices_of,
 )
-from uberhom.morse import induced_subgraph, is_dalmatian
 
 from conftest import small_complexes
-from paper import by_dim, is_matching, iterated_dalmatian, matching_is_acyclic
+from paper import (by_dim, dalmatian_closed_form, induced_subgraph, is_dalmatian,
+                   is_matching, iterated_dalmatian, matching_is_acyclic, weight)
 
 
 def brute_is_dalmatian(X, eps) -> bool:
@@ -76,8 +80,7 @@ def test_dalmatian_iff_morse_matching(suite):
     colourings (excluding the all-white colouring, which induces no edges)."""
     for name, X, eps in small_cases(suite):
         report = verify_morse(X, eps)
-        assert report.edges == induced_subgraph(X, eps)
-        assert brute_matching(report.edges) == report.is_matching
+        assert brute_matching(induced_subgraph(X, eps)) == report.is_matching
         if eps.bits == 0:
             assert report.is_morse_matching  # vacuously: no edges
             continue
@@ -97,6 +100,29 @@ def test_morse_report_matches_general_checks(X):
         edges = induced_subgraph(X, eps)
         assert report.is_matching == brute_matching(edges) == is_matching(edges)
         assert report.is_acyclic == (report.is_matching and matching_is_acyclic(X, edges))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(small_complexes())
+def test_one_scan_matches_oracles(X):
+    """On every colouring, the scan finds a matching exactly for the zero or
+    a dalmatian colouring; the zero colouring leaves every simplex critical;
+    for a dalmatian colouring the critical cells tallied by (dimension,
+    white count) are the paper's closed form and the horizontal homology;
+    and the decomposition's parts make up the induced pairs."""
+    m = X.vertex_count
+    for bits in range(1 << m):
+        eps = Colouring(bits, m)
+        report = verify_morse(X, eps)
+        dalmatian = is_dalmatian(X, eps)
+        assert report.is_matching == (bits == 0 or dalmatian)
+        if bits == 0:
+            assert report.critical_cells == tuple(itertools.chain(*by_dim(X).values()))
+        if dalmatian:
+            tally = Counter((dim_of(s), weight(s, eps)) for s in report.critical_cells)
+            assert tally == dalmatian_closed_form(X, eps).ranks == horizontal_homology(X, eps)
+        parts = elementary_decomposition(X, eps)
+        assert frozenset().union(*parts.values()) == induced_subgraph(X, eps)
 
 
 def test_critical_cells_give_homology(suite):
@@ -121,14 +147,6 @@ def test_critical_cells_give_homology(suite):
             else:
                 assert (i, k) == (d, d + 1)
     assert checked > 50
-
-
-def test_closed_form_requires_dalmatian():
-    X = standard_complex("simplex", 2)
-    with pytest.raises(InvalidColouring):
-        dalmatian_closed_form(X, Colouring.from_string("110"))
-    with pytest.raises(InvalidColouring):
-        dalmatian_closed_form(X, Colouring(0, 3))
 
 
 def test_elementary_decomposition_partitions(suite):
@@ -191,7 +209,7 @@ def test_single_stage_matches_direct_morse(suite):
         checked += 1
         direct = verify_morse(X, eps)
         iterated = iterated_dalmatian(X, [eps.black_vertices()])
-        assert iterated.edges == direct.edges
+        assert iterated.edges == frozenset().union(*elementary_decomposition(X, eps).values())
         assert iterated.critical_cells == direct.critical_cells
         assert iterated.is_morse_matching
     assert checked > 5
