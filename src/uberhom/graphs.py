@@ -19,8 +19,7 @@ from math import comb
 from .complexes import (MAX_INPUT_FACES, MAX_VERTICES, SimplicialComplex, from_facets,
                         vertices_of)
 from .errors import CapExceeded, ComplexError, ParseError
-from .uber import (_black_components_with_roots, _check_cap, _dominating_vertices,
-                   level_masks, uber_homology)
+from .uber import _check_cap, _components, _dominating_vertices, level_masks, uber_homology
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ class SimpleGraph:
     @cached_property
     def is_connected(self) -> bool:
         full = (1 << self.vertex_count) - 1
-        return len(_black_components_with_roots(self.adjacency, full)[0]) == 1
+        return _components(self.adjacency, full) == [full]
 
     def permuted(self, perm) -> "SimpleGraph":
         """Relabelled copy; perm maps old vertex ids to new ones."""
@@ -227,23 +226,22 @@ def closed_form_signature(G: SimpleGraph, bits: int) -> tuple:
 
     Ranks: (0,0) black components; (1,0) black cyclomatic number; (0,1) white
     vertices with no black neighbour; (1,1) mixed edges minus their distinct
-    white endpoints; (1,2) all-white edges.  The counts are exact for every
-    graph, connected or not, and every colouring: tests/test_graphs.py checks
-    them against the matrix homology on whole cubes
-    (test_closed_form_signature_is_exact) and against the brute-force oracle
-    on random graphs (test_closed_form_signature_matches_oracle).
+    white endpoints; (1,2) all-white edges.  They are read off neighbour
+    masks, with no pass over the edges: the components from uber._components,
+    the black edges as half the black vertices' black neighbours, the mixed
+    edges as the rest of their degrees, the white edges as what is left.
+    The counts are exact for every graph, connected or not, and every
+    colouring: tests/test_graphs.py checks them against the matrix homology
+    on whole cubes (test_closed_form_signature_is_exact) and against the
+    brute-force oracle on random graphs
+    (test_closed_form_signature_matches_oracle).
     """
     adj = G.adjacency
-    comps = len(_black_components_with_roots(adj, bits)[0])
-    bb = bw = ww = 0
-    for u, v in G.edges:
-        black_ends = ((bits >> u) & 1) + ((bits >> v) & 1)
-        if black_ends == 2:
-            bb += 1
-        elif black_ends == 1:
-            bw += 1
-        else:
-            ww += 1
+    comps = len(_components(adj, bits))
+    black = vertices_of(bits)
+    bb = sum((adj[b] & bits).bit_count() for b in black) // 2
+    bw = sum(adj[b].bit_count() for b in black) - 2 * bb
+    ww = G.edge_count - bb - bw
     white = ~bits & ((1 << G.vertex_count) - 1)
     v_wb = sum(1 for w in vertices_of(white) if adj[w] & bits)
     v_ww = white.bit_count() - v_wb
@@ -282,11 +280,12 @@ def theta(G: SimpleGraph, j: int) -> ThetaLevel:
     """Theta invariant at level j (j black vertices).
 
     Every colouring's signature comes from closed_form_signature, so no
-    homology is computed.  Levels 2 and up keep graph_as_complex's contract
-    and raise ComplexError on a disconnected graph, although the counts hold
-    for disconnected graphs too.  uber._check_cap refuses a level of
-    C(m, j) > 2^cap colourings, more than the largest cube the cube cap
-    allows, before any colouring is built.
+    homology is computed, and is counted as it streams, so only the distinct
+    signatures and the pooled entries are held.  Levels 2 and up keep
+    graph_as_complex's contract and raise ComplexError on a disconnected
+    graph, although the counts hold for disconnected graphs too.
+    uber._check_cap refuses a level of C(m, j) > 2^cap colourings, more than
+    the largest cube the cube cap allows, before any colouring is built.
     """
     m = G.vertex_count
     if not 0 <= j <= m:
@@ -295,10 +294,9 @@ def theta(G: SimpleGraph, j: int) -> ThetaLevel:
         raise ComplexError("graph must be connected to convert to a complex")
     size = comb(m, j)
     _check_cap(size, f"level {j} has C({m}, {j}) = {size} colourings")
-    signatures = [closed_form_signature(G, mask) for mask in level_masks(m, j)]
+    counts = Counter(closed_form_signature(G, mask) for mask in level_masks(m, j))
     entries = tuple(sorted(
-        ((j, i, k, r) for sig in signatures for i, k, r in sig), reverse=True))
-    counts = Counter(signatures)
+        ((j, i, k, r) for sig in counts.elements() for i, k, r in sig), reverse=True))
     return ThetaLevel(j, entries, tuple(sorted(counts.items(), reverse=True)))
 
 

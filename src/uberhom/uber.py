@@ -266,41 +266,35 @@ def _graph_cube(X: SimplicialComplex) -> dict:
             for j, r in bottom[k].items() if r}
 
 
-def _black_components_with_roots(adj, bits: int):
-    """Component roots (minimum vertex, ascending) of the subgraph induced on
-    bits, and the per-vertex root lookup."""
-    roots: list[int] = []
-    root: dict[int, int] = {}
-    for v in vertices_of(bits):
-        if v in root:
-            continue
-        roots.append(v)
-        root[v] = v
-        frontier = 1 << v
-        seen = frontier
+def _components(adj, bits: int) -> list[int]:
+    """Vertex masks of the components of the subgraph induced on bits, by
+    lowest vertex; each grows by OR-ing the neighbour masks of its frontier."""
+    comps = []
+    while bits:
+        comp = frontier = bits & -bits
         while frontier:
-            nxt = 0
+            reach = 0
             for u in vertices_of(frontier):
-                nxt |= adj[u] & bits
-            frontier = nxt & ~seen
-            seen |= frontier
-            for w in vertices_of(frontier):
-                root[w] = v
-    return roots, root
+                reach |= adj[u]
+            frontier = reach & bits & ~comp
+            comp |= frontier
+        comps.append(comp)
+        bits ^= comp
+    return comps
 
 
 def _component_cube_ranks(m: int, adj) -> dict[int, int]:
     """{level: rank} of the cube of black components of the graph with
-    neighbour masks adj; an edge sends a component to the one swallowing it."""
+    neighbour masks adj.  Blackening v only merges components, so each
+    source component meets exactly one target component, and the edge map
+    sends it to that component's index."""
     def level(j):
-        return {mask: {(0, 0): _black_components_with_roots(adj, mask)}
-                for mask in level_masks(m, j)}
+        return {mask: {(0, 0): _components(adj, mask)} for mask in level_masks(m, j)}
 
     def edge(source, target, v):
-        troots, troot = target
-        return [1 << troots.index(troot[r]) for r in source[0]]
+        return [1 << t for s in source for t, comp in enumerate(target) if comp & s]
 
-    ranks = cube_ranks(m, level, lambda comps: len(comps[0]), edge)
+    ranks = cube_ranks(m, level, len, edge)
     return {j: r for (j, _), r in ranks.items()}
 
 

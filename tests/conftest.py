@@ -8,6 +8,7 @@ import math
 import time
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from uberhom import (
@@ -18,6 +19,11 @@ from uberhom import (
 )
 
 from paper import cone, is_connected
+
+# every property test draws the same examples on every run, however long it
+# takes; each test states only its max_examples
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")
 
 # ---------------------------------------------------------------------------
 # bundled complex suite: connected complexes on at most 6 vertices

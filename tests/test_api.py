@@ -1,6 +1,8 @@
-"""The package defines and exports only what its own modules or the benchmark use."""
+"""The package defines and exports only what its own modules or the benchmark
+use, and every property test in the suite is derandomized."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 from types import ModuleType
@@ -157,3 +159,17 @@ def test_each_limit_has_one_owner():
                 wording.add(name)
     assert raisers == owners, raisers ^ owners
     assert wording == {"uber._check_cap"}
+
+
+def test_property_tests_are_derandomized():
+    """Every @given test in tests/ draws the same examples on every run: the
+    profile that tests/conftest.py loads derandomizes them, and no test
+    turns that off."""
+    found = []
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        module = importlib.import_module(path.stem)
+        for name, test in vars(module).items():
+            if getattr(test, "is_hypothesis_test", False):
+                found.append(name)
+                assert test._hypothesis_internal_use_settings.derandomize, (path.name, name)
+    assert found

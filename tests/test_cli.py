@@ -6,6 +6,7 @@ the installed console script to pin down exit codes in a real process.
 
 import argparse
 import concurrent.futures
+import functools
 import hashlib
 import json
 import os
@@ -17,6 +18,7 @@ from collections import Counter
 from math import comb
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 import uberhom
@@ -659,6 +661,60 @@ def test_overlay_golden(tmp_path, capsys):
         code, out, err = run_text(capsys, [command, str(path)])
         assert code == 0 and not err
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, command)
+
+
+# stdout SHA-256 of the graph layer's commands over the networkx atlas graphs
+# on 2 to 6 vertices, one digest per command: `uber` on every graph as a
+# complex, connected or not; `theta` at every level and each `graph-hom` on
+# the connected ones; `dissim` on the connected ones as one corpus of mixed
+# vertex counts.  How black components are counted may change, but these
+# bytes must not.
+GRAPH_LAYER_DIGESTS = {
+    "uber":
+        "7905d6380a1085f97f8f2e05d8d31f2a3dbf76e2349e9e67fd11c34ac2e7b288",
+    "theta":
+        "dcd21374fa0d1e5731603059ca064937781becd3f5b1b8658007cce89d58c6f3",
+    "graph-hom h0":
+        "615c5692afa278eda3d1cd8f0f65ea061a971e52cfb87bca8d477b95a467130e",
+    "graph-hom h1_0":
+        "9c9d8814bc7b4a83673c04b970c43965cbb31222301d61eacb8ee6835cf3cab6",
+    "graph-hom h1_1":
+        "bab95ab48964a01ef729377d269a9e411d41e0155b490183de7f02cc9e3c9076",
+    "graph-hom h2":
+        "dd51752cce91f70d4ad01fbefee7fcbeabfaeb7840c755a8bf5b315d841b8a71",
+    "dissim":
+        "6249b3cc8969a13afb51ee0dcfc82e520dc3cca9e47d321ddcf45028dc2585be",
+}
+
+
+def test_graph_layer_golden(tmp_path, capsys, monkeypatch):
+    # one parser for all ~1,700 runs: building it is most of a small run's time
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    atlas = [g for g in nx.graph_atlas_g() if 2 <= len(g) <= 6]
+    runs = {command: [] for command in GRAPH_LAYER_DIGESTS}
+    corpus = []
+    for n, g in enumerate(atlas):
+        G = SimpleGraph.from_edges(len(g), g.edges)
+        cplx = tmp_path / f"{n}.cplx"
+        cplx.write_text("".join([f"{len(g)}\n", *(f"{u} {v}\n" for u, v in G.edges)]))
+        runs["uber"].append(["uber", str(cplx)])
+        if not nx.is_connected(g):
+            continue
+        g6 = tmp_path / f"{n}.g6"
+        g6.write_text(encode_graph6(G) + "\n")
+        corpus.append(encode_graph6(G))
+        runs["theta"] += [["theta", str(g6), "--level", str(j)] for j in range(len(g) + 1)]
+        for which in ("h0", "h1_0", "h1_1", "h2"):
+            runs[f"graph-hom {which}"].append(["graph-hom", which, str(g6)])
+    (tmp_path / "corpus.g6").write_text("\n".join(corpus) + "\n")
+    runs["dissim"].append(["dissim", str(tmp_path / "corpus.g6")])
+    for command, argvs in runs.items():
+        digest = hashlib.sha256()
+        for argv in argvs:
+            code, out, err = run_text(capsys, argv)
+            assert code == 0 and not err, argv
+            digest.update(out.encode())
+        assert digest.hexdigest() == GRAPH_LAYER_DIGESTS[command], command
 
 
 def test_overlay_input_contract(tmp_path, capsys, monkeypatch):

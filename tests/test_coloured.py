@@ -130,7 +130,7 @@ def coloured_complexes(draw, max_vertices=5):
     return X, Colouring(draw(st.integers(0, (1 << m) - 1)), m)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(coloured_complexes())
 def test_homology_matches_oracles_on_random_complexes(case):
     X, eps = case
@@ -143,7 +143,7 @@ def test_homology_matches_oracles_on_random_complexes(case):
             naive_simplicial_homology(facets, reduced=reduced)
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(coloured_complexes())
 def test_filtered_homology_matches_oracle(case):
     """Every truncation, from the empty one at k = -1 to all of X at k = m,
@@ -192,7 +192,7 @@ def summand_ranks(X, kept) -> dict[tuple[int, int], int]:
     return out
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(coloured_complexes(max_vertices=6))
 def test_homology_splits_over_fixed_parts(case):
     """Horizontal homology is the direct sum over white faces W of the

@@ -205,7 +205,7 @@ def assert_face_closed(X):
     assert checked_complex(X.vertex_count, X.simplices) == X
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(small_complexes(), st.data())
 def test_every_construction_is_face_closed(X, data):
     """The constructor trusts its callers; each builder's output passes

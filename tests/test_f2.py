@@ -11,7 +11,7 @@ from uberhom.f2 import BitMatrix, homology_at, insert, kernel_and_image, rank_of
 
 from oracles import gf2_rank
 
-PROPERTY = settings(max_examples=300, derandomize=True, deadline=None)
+PROPERTY = settings(max_examples=300)
 
 
 def vec_to_list(v: int, n: int) -> list[int]:

@@ -162,7 +162,7 @@ def test_matching_complex_of_edges_with_parallels():
     assert matching_complex_of_edges([]).is_void
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7))
                 .filter(lambda e: e[0] != e[1]), max_size=12))
 def test_matching_complex_of_edges_against_oracle(edges):
@@ -205,7 +205,7 @@ def ordered_graphs(draw):
     return G, draw(st.permutations(range(m)))
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(ordered_graphs())
 def test_closed_form_signature_matches_oracle(case):
     """theta rests on the counting formulas at every level; check them against
@@ -305,7 +305,7 @@ def corpora(draw):
     return [G.permuted(draw(st.permutations(range(G.vertex_count)))) for G in picks]
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(corpora())
 def test_theta_classes_match_pairwise_oracle(corpus):
     real_theta = graphs_module.theta

@@ -87,7 +87,7 @@ def test_dalmatian_iff_morse_matching(suite):
         assert report.is_morse_matching == is_dalmatian(X, eps), (name, str(eps))
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(small_complexes())
 def test_morse_report_matches_general_checks(X):
     """On every colouring, the report's matching flag is the brute-force
@@ -102,7 +102,7 @@ def test_morse_report_matches_general_checks(X):
         assert report.is_acyclic == (report.is_matching and matching_is_acyclic(X, edges))
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(small_complexes())
 def test_one_scan_matches_oracles(X):
     """On every colouring, the scan finds a matching exactly for the zero or

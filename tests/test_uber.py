@@ -7,8 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uberhom import (
@@ -19,6 +20,7 @@ from uberhom import (
     graph_as_complex,
     h0_graph,
     horizontal_homology,
+    mask_of,
     standard_complex,
     uber_degree0_fast,
     uber_homology,
@@ -75,7 +77,7 @@ def frozen(mask) -> frozenset:
     return frozenset(vertices_of(mask))
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(small_complexes())
 def test_edge_maps_match_oracle(X):
     """For every colouring, white vertex v and bidegree: deleting v commutes
@@ -143,7 +145,7 @@ def test_edge_map_rejects_a_non_cycle_representative():
             d_eta_matrix(forged, block, 2)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(small_complexes())
 def test_representatives_lie_in_one_white_part(X):
     """Every representative lies in one white-part summand: the horizontal
@@ -186,7 +188,7 @@ def test_each_colouring_gets_its_core_subcomplex(monkeypatch, X):
     assert any(Y.simplices < X.simplices for _, Y in calls)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(small_complexes())
 def test_uber_homology_matches_naive_oracle(X):
     assert uber_homology(X) == oracles.naive_uber(
@@ -233,7 +235,7 @@ def one_dimensional_complexes(draw):
     return checked_complex(m, {1 << v for v in inside} | edges), rng.sample(range(m), m)
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
+@settings(max_examples=80)
 @given(one_dimensional_complexes())
 def test_graph_route_matches_engine_and_naive_oracle(case):
     """Every nonvoid 1-dimensional X that is not a simplex takes the
@@ -266,6 +268,38 @@ def test_graph_route_on_nine_vertices_matches_naive_oracle():
     naive = oracles.naive_uber(9, [vertices_of(s) for s in X.simplices])
     assert uber_homology(X) == uber._engine_cube(X) == naive
     assert {(i, k) for _, i, k in naive} == {(0, 0), (1, 0), (0, 1), (1, 1)}
+
+
+@st.composite
+def masked_graphs(draw):
+    """(m, edges, bits): a graph on 1 to 10 vertices, its edges kept at a
+    drawn rate so that sparse graphs with isolated vertices occur, and a
+    vertex mask, 0 included."""
+    m = draw(st.integers(1, 10))
+    rate = draw(st.sampled_from((0, 0.25, 0.5, 0.75)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    edges = [e for e in itertools.combinations(range(m), 2) if rng.random() < rate]
+    return m, edges, draw(st.integers(0, (1 << m) - 1))
+
+
+@settings(max_examples=300)
+@given(masked_graphs())
+@example((1, [], 0))
+@example((4, [(0, 1), (2, 3)], 0b1101))
+def test_components_match_networkx(case):
+    """uber._components gives the components of the subgraph induced on bits
+    as vertex masks, by lowest vertex, and blackening a white vertex only
+    merges them: each component of bits meets exactly one of bits + v."""
+    m, edges, bits = case
+    adj = SimpleGraph.from_edges(m, edges).adjacency
+    g = nx.Graph(edges)
+    g.add_nodes_from(range(m))
+    expected = [mask_of(c) for c in nx.connected_components(g.subgraph(vertices_of(bits)))]
+    comps = uber._components(adj, bits)
+    assert comps == sorted(expected, key=lambda c: c & -c)
+    for v in vertices_of(~bits & ((1 << m) - 1)):
+        grown = uber._components(adj, bits | 1 << v)
+        assert all(sum(1 for t in grown if t & s) == 1 for s in comps), v
 
 
 GRAPH_ROUTE_CASES = {
@@ -353,7 +387,7 @@ def test_tower_euler_identity(suite):
         assert_tower_euler_identity(X, name)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(small_complexes())
 def test_tower_euler_identity_on_random_complexes(X):
     assert_tower_euler_identity(X)
