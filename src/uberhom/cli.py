@@ -20,7 +20,6 @@ mismatch; 4 resource cap exceeded; 5 an engine invariant failed (a bug).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import io
 import json
@@ -336,6 +335,7 @@ def _render(report: dict, fmt: str, command: str) -> str:
             width = max((len(k) for k, _ in rows), default=0)
             return "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)
         header = ("key", "value")
+    import csv  # here, so only a csv report pays for it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -17,21 +17,17 @@ complementary colouring, so diagonal homology is that, regraded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import f2
+from ._value import Value
 from .complexes import SimplicialComplex, vertices_of
 from .errors import ColouringMismatch, InvalidColouring, ParseError
 
 
-@dataclass(frozen=True)
-class Colouring:
+class Colouring(Value):
     """Black(1)/white(0) assignment to vertices; bit i is vertex i."""
 
-    bits: int
-    length: int
-
-    def __post_init__(self):
+    def __init__(self, bits: int, length: int):
+        self.__dict__.update(bits=bits, length=length)
         if self.length < 1:
             raise InvalidColouring("colouring must have positive length")
         if self.bits < 0 or self.bits >> self.length:
@@ -148,12 +144,11 @@ def diagonal_homology(X: SimplicialComplex, eps: Colouring) -> dict:
     return dual_grading(horizontal_homology(X, eps.complement()))
 
 
-@dataclass(frozen=True)
-class BlockHomology:
+class BlockHomology(Value):
     """Homology of one (i, k) block with its simplex basis."""
 
-    basis: tuple[int, ...]
-    hom: f2.HomologyWithBasis
+    def __init__(self, basis: tuple[int, ...], hom: f2.HomologyWithBasis):
+        self.__dict__.update(basis=basis, hom=hom)
 
 
 def horizontal_homology_with_bases(X: SimplicialComplex,

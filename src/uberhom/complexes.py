@@ -11,9 +11,9 @@ the ambient universe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._value import Value
 from .errors import CapExceeded, ComplexError, ParseError
 
 MAX_VERTICES = 64
@@ -40,13 +40,12 @@ def dim_of(mask: int) -> int:
     return mask.bit_count() - 1
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Value):
     """Face-closed set of simplices over vertices 0..vertex_count-1, closed
     by construction and not checked here (`tests/paper.checked_complex`)."""
 
-    vertex_count: int
-    simplices: frozenset[int]
+    def __init__(self, vertex_count: int, simplices: frozenset[int]):
+        self.__dict__.update(vertex_count=vertex_count, simplices=simplices)
 
     @property
     def is_void(self) -> bool:

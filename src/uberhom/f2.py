@@ -12,8 +12,7 @@ subspace iff they reduce to the same row list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .errors import EngineError
 
 
@@ -82,15 +81,11 @@ def kernel_and_image(columns) -> tuple[list[int], list[int]]:
     return [kernel[p] for p in order], image
 
 
-@dataclass(frozen=True)
-class BitMatrix:
+class BitMatrix(Value):
     """Column-major GF(2) matrix; columns[j] is the bitset of column j."""
 
-    rows: int
-    cols: int
-    columns: tuple[int, ...]
-
-    def __post_init__(self):
+    def __init__(self, rows: int, cols: int, columns: tuple[int, ...]):
+        self.__dict__.update(rows=rows, cols=cols, columns=columns)
         if len(self.columns) != self.cols:
             raise EngineError("column count does not match data length")
         if any(col >> self.rows for col in self.columns):

@@ -10,30 +10,26 @@ and the four graph homologies (h0 from `uber_homology`, the rest closed form).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import count
 from math import comb
 
+from ._value import Value
 from .complexes import (MAX_INPUT_FACES, MAX_VERTICES, SimplicialComplex, from_facets,
                         vertices_of)
 from .errors import CapExceeded, ComplexError, ParseError
 from .uber import _check_cap, _components, _dominating_vertices, level_masks, uber_homology
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(Value):
     """Undirected simple graph on vertices 0..vertex_count-1.
 
     Edges are stored sorted as (u, v) with u < v; use from_edges to build
     from unnormalized input.
     """
 
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
+    def __init__(self, vertex_count: int, edges: tuple[tuple[int, int], ...]):
+        self.__dict__.update(vertex_count=vertex_count, edges=edges)
         if not 1 <= self.vertex_count <= MAX_VERTICES:
             raise ComplexError(f"vertex count {self.vertex_count} out of range")
         seen = set()
@@ -251,27 +247,43 @@ def closed_form_signature(G: SimpleGraph, bits: int) -> tuple:
     return tuple(sorted(((i, k, r) for i, k, r in entries if r), reverse=True))
 
 
-@dataclass(frozen=True)
-class ThetaLevel:
+class ThetaLevel(Value):
     """Level-j Theta invariant of a graph.
 
-    entries pools the nonzero (j, i, k, rank) tuples of every weight-j
-    colouring, with repetition, in descending lexicographic order; this
-    multiset is the invariant that dissimilarity compares.  signature_counts
-    retains the per-colouring grouping for reporting and does not take part
-    in equality.
+    signature_counts holds each distinct colouring signature with the number
+    of weight-j colourings that have it, in descending order.  pooled is the
+    multiset of their nonzero (i, k, rank) entries over every colouring, as
+    frozen {entry: multiplicity} items; it is the invariant that
+    dissimilarity compares, and with j it decides equality, so the grouping
+    by colouring does not.
     """
 
-    j: int
-    entries: tuple[tuple[int, int, int, int], ...]
-    signature_counts: tuple = field(compare=False)
+    _compared = ("j", "pooled")
+
+    def __init__(self, j: int, signature_counts: tuple):
+        self.__dict__.update(j=j, signature_counts=signature_counts)
+
+    @cached_property
+    def pooled(self) -> frozenset:
+        totals: Counter = Counter()
+        for sig, c in self.signature_counts:
+            for entry in sig:
+                totals[entry] += c
+        return frozenset(totals.items())
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The pooled (j, i, k, rank) tuples, with repetition, in descending
+        lexicographic order."""
+        return tuple((self.j, i, k, r) for (i, k, r), c in sorted(self.pooled, reverse=True)
+                     for _ in range(c))
 
     @property
     def aggregated(self) -> tuple[tuple[int, int, int, int], ...]:
         """One tuple per (j, i, k) with the ranks summed over colourings."""
-        totals: dict = {}
-        for j, i, k, r in self.entries:
-            totals[(j, i, k)] = totals.get((j, i, k), 0) + r
+        totals: Counter = Counter()
+        for (i, k, r), c in self.pooled:
+            totals[(self.j, i, k)] += r * c
         return tuple(sorted((key + (r,) for key, r in totals.items()),
                             reverse=True))
 
@@ -281,9 +293,9 @@ def theta(G: SimpleGraph, j: int) -> ThetaLevel:
 
     Every colouring's signature comes from closed_form_signature, so no
     homology is computed, and is counted as it streams, so only the distinct
-    signatures and the pooled entries are held.  Levels 2 and up keep
-    graph_as_complex's contract and raise ComplexError on a disconnected
-    graph, although the counts hold for disconnected graphs too.
+    signatures are held.  Levels 2 and up keep graph_as_complex's contract
+    and raise ComplexError on a disconnected graph, although the counts hold
+    for disconnected graphs too.
     uber._check_cap refuses a level of C(m, j) > 2^cap colourings, more than
     the largest cube the cube cap allows, before any colouring is built.
     """
@@ -295,9 +307,7 @@ def theta(G: SimpleGraph, j: int) -> ThetaLevel:
     size = comb(m, j)
     _check_cap(size, f"level {j} has C({m}, {j}) = {size} colourings")
     counts = Counter(closed_form_signature(G, mask) for mask in level_masks(m, j))
-    entries = tuple(sorted(
-        ((j, i, k, r) for sig in counts.elements() for i, k, r in sig), reverse=True))
-    return ThetaLevel(j, entries, tuple(sorted(counts.items(), reverse=True)))
+    return ThetaLevel(j, tuple(sorted(counts.items(), reverse=True)))
 
 
 def theta_classes(graphs) -> list[list[int]]:
@@ -316,25 +326,25 @@ def theta_classes(graphs) -> list[list[int]]:
         interned: dict[tuple, dict] = {}
         for i in todo:
             ids = interned.setdefault(tuple(keys[i]), {})
-            keys[i].append(ids.setdefault(theta(graphs[i], j).entries, len(ids)))
+            keys[i].append(ids.setdefault(theta(graphs[i], j).pooled, len(ids)))
 
 
-@dataclass(frozen=True)
-class Dissimilarity:
+class Dissimilarity(Value):
     """Result of comparing two graphs level by level.
 
-    value is 1 - j*/m for the first differing level j*, 0 when every level
-    agrees (theta_equivalent set), and None when the vertex counts differ
-    (the infinite marker).
+    value is the Fraction 1 - j*/m for the first differing level j*, 0 when
+    every level agrees (theta_equivalent set), and None when the vertex
+    counts differ (the infinite marker).
     """
 
-    value: Fraction | None
-    first_differing_level: int | None
-    theta_equivalent: bool
+    def __init__(self, value, first_differing_level: int | None, theta_equivalent: bool):
+        self.__dict__.update(value=value, first_differing_level=first_differing_level,
+                             theta_equivalent=theta_equivalent)
 
     @classmethod
     def at_level(cls, m: int, j: int | None) -> "Dissimilarity":
         """m-vertex graphs first differing at level j, or never (None)."""
+        from fractions import Fraction  # here, so only a Δ value pays for it
         return (cls(Fraction(0), None, True) if j is None
                 else cls(Fraction(m - j, m), j, False))
 

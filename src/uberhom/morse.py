@@ -12,19 +12,19 @@ matching test and the critical cells in one scan of the complex.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
+from ._value import Value
 from .complexes import SimplicialComplex, dim_of, vertices_of
 from .coloured import Colouring
 
 Edge = tuple[int, int]  # (simplex, facet) with one black vertex dropped
 
 
-@dataclass(frozen=True)
-class MorseReport:
-    is_matching: bool
-    is_acyclic: bool
-    critical_cells: tuple[int, ...]
+class MorseReport(Value):
+    def __init__(self, is_matching: bool, is_acyclic: bool,
+                 critical_cells: tuple[int, ...]):
+        self.__dict__.update(is_matching=is_matching, is_acyclic=is_acyclic,
+                             critical_cells=critical_cells)
 
     @property
     def is_morse_matching(self) -> bool:

@@ -16,9 +16,9 @@ search, filed as found and reduced by `horizontal_ranks`, never a complex.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._value import Value
 from .coloured import Colouring, horizontal_ranks
 from .complexes import vertices_of
 from .errors import CapExceeded, ComplexError, EngineError, ParseError
@@ -28,14 +28,11 @@ Dart = tuple[int, int]
 MAX_OVERLAY_EDGES = 12  # the overlay matching complex grows exponentially
 
 
-@dataclass(frozen=True)
-class PlaneGraph:
+class PlaneGraph(Value):
     """Simple connected graph embedded in the sphere via a rotation system."""
 
-    graph: SimpleGraph
-    rotations: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
+    def __init__(self, graph: SimpleGraph, rotations: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(graph=graph, rotations=rotations)
         G = self.graph
         if not G.is_connected:
             raise ComplexError("plane graphs must be connected")
@@ -129,8 +126,7 @@ def format_plane_graph(P: PlaneGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class TaitGraph:
+class TaitGraph(Value):
     """Overlay of a plane graph with its dual.
 
     Vertices are tri-partite: primal vertices, then faces, then one crossing
@@ -140,8 +136,9 @@ class TaitGraph:
     are black, the last two white.
     """
 
-    plane: PlaneGraph
-    crossings: tuple[tuple[int, int, int, int], ...]
+    def __init__(self, plane: PlaneGraph,
+                 crossings: tuple[tuple[int, int, int, int], ...]):
+        self.__dict__.update(plane=plane, crossings=crossings)
 
     @property
     def primal_count(self) -> int:

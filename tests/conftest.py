@@ -1,11 +1,14 @@
 """Shared fixtures: the bundled complex suite, the random small complexes of
-the property tests, plane-graph fixtures, and a terminal summary that prints
-one PASS/FAIL line per acceptance criterion."""
+the property tests, plane-graph fixtures, the layers the benchmark traces,
+and a terminal summary that prints one PASS/FAIL line per acceptance
+criterion."""
 
 from __future__ import annotations
 
+import ast
 import math
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -179,6 +182,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         label = outcomes.get(number, "NOT RUN")
         terminalreporter.write_line(
             f"  criterion {number:2d}: {label:7s} {CRITERIA[number]}")
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's traced layers
+
+
+def traced_layers() -> set:
+    """The (module, function) pairs of perfbench/spans.py's LAYERS, which the
+    tracer reaches by string."""
+    spans = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text())
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets))
+    return set(ast.literal_eval(value))
 
 
 # ---------------------------------------------------------------------------

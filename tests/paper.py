@@ -391,11 +391,13 @@ def matching_is_acyclic(X: SimplicialComplex, matching) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class IteratedMorse(MorseReport):
     """A Morse report that also keeps its matched pairs."""
 
-    edges: frozenset[Edge]
+    def __init__(self, is_matching: bool, is_acyclic: bool,
+                 critical_cells: tuple[int, ...], edges: frozenset[Edge]):
+        super().__init__(is_matching, is_acyclic, critical_cells)
+        self.__dict__.update(edges=edges)
 
 
 def iterated_dalmatian(X: SimplicialComplex, stages) -> IteratedMorse:

@@ -9,6 +9,8 @@ from types import ModuleType
 
 import uberhom
 
+from conftest import traced_layers
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for p in (ROOT / "src" / "uberhom").glob("*.py") if p.name != "__init__.py")
 SCRIPTS = sorted((ROOT / "perfbench").glob("*.py"))
@@ -41,15 +43,6 @@ def _references(tree: ast.Module) -> set:
     return {name for node in ast.walk(tree) for name in _reads(node)}
 
 
-def _traced_layers() -> set:
-    """The (module, function) pairs of perfbench/spans.py's LAYERS, which the
-    tracer reaches by string; the only strings that count as callers."""
-    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
-    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
-                 and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets))
-    return set(ast.literal_eval(value))
-
-
 def test_every_public_name_has_a_caller_outside_the_tests():
     """Each name in uberhom.__all__ is read, as a name, an attribute or an
     import, by a src/uberhom module other than the one defining it or by a
@@ -58,7 +51,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     as report keys, do not count."""
     trees = [ast.parse(p.read_text()) for p in SOURCES + SCRIPTS]
     reads = [(tree, _references(tree)) for tree in trees]
-    traced = _traced_layers()
+    traced = traced_layers()
     unused = []
     for name in uberhom.__all__:
         obj = getattr(uberhom, name)
@@ -78,7 +71,7 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     trees = {p: ast.parse(p.read_text()) for p in SOURCES + SCRIPTS}
     reads = [(path, name, node.lineno) for path, tree in trees.items()
              for node in ast.walk(tree) for name in _reads(node)]
-    traced = _traced_layers()
+    traced = traced_layers()
     unused = []
     for path in SOURCES:
         for node in trees[path].body:
@@ -95,7 +88,8 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
 def test_every_public_member_has_a_caller_outside_the_tests():
     """Each public method or property of an exported class is read as an
     attribute in src/uberhom or a perfbench script, outside its own
-    definition.  Dataclass fields are not methods, so they are exempt."""
+    definition.  Attributes set by __init__ are not methods, so they are
+    exempt."""
     trees = {p: ast.parse(p.read_text()) for p in SOURCES + SCRIPTS}
     reads = [(path, node.attr, node.lineno) for path, tree in trees.items()
              for node in ast.walk(tree) if isinstance(node, ast.Attribute)]

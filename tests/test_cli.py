@@ -5,6 +5,7 @@ the installed console script to pin down exit codes in a real process.
 """
 
 import argparse
+import ast
 import concurrent.futures
 import functools
 import hashlib
@@ -27,7 +28,7 @@ from uberhom import (Colouring, SimpleGraph, SimplicialComplex, cli, complexes, 
                      parse_graph6, planar, standard_complex, uber)
 from uberhom.cli import main
 
-from conftest import plane_fixtures
+from conftest import plane_fixtures, traced_layers
 
 TRIANGLE_PLANE = "v 0: 1 2\nv 1: 2 0\nv 2: 0 1\n"
 
@@ -856,12 +857,23 @@ def child_env() -> dict:
 
 
 def test_cli_import_leaves_out_the_process_pool():
-    """Only a sweep that starts a pool imports the process-pool machinery."""
+    """Only a sweep that starts a pool imports the process-pool machinery,
+    and a CLI process starts without dataclasses, inspect, fractions,
+    decimal or csv.  `import uberhom` alone loads every module of the
+    benchmark's traced layers but the CLI, which its tracing job imports
+    before it patches them."""
+    unused = ("concurrent.futures.process", "dataclasses", "inspect", "fractions",
+              "decimal", "csv")
     result = subprocess.run(
         [sys.executable, "-c",
-         "import sys, uberhom.cli; print('concurrent.futures.process' in sys.modules)"],
+         "import sys, uberhom; print(sorted(sys.modules)); import uberhom.cli; "
+         f"print([name for name in {unused!r} if name in sys.modules])"],
         capture_output=True, text=True, env=child_env())
-    assert (result.returncode, result.stdout) == (0, "False\n")
+    assert result.returncode == 0, result.stderr
+    library, loaded = map(ast.literal_eval, result.stdout.splitlines())
+    assert loaded == []
+    layers = {f"uberhom.{module}" for module, _ in traced_layers()}
+    assert layers - set(library) == {"uberhom.cli"}
 
 
 def test_console_script_subprocess(files):
