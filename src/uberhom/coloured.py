@@ -145,7 +145,9 @@ def diagonal_homology(X: SimplicialComplex, eps: Colouring) -> dict:
 
 
 class BlockHomology(Value):
-    """Homology of one (i, k) block with its simplex basis."""
+    """Homology of one (i, k) block with its simplex basis, compared by value."""
+
+    _compared = ("basis", "hom.dim", "hom.representatives", "hom.boundary_rows")
 
     def __init__(self, basis: tuple[int, ...], hom: f2.HomologyWithBasis):
         self.__dict__.update(basis=basis, hom=hom)
@@ -154,7 +156,8 @@ class BlockHomology(Value):
 def horizontal_homology_with_bases(X: SimplicialComplex,
                                    eps: Colouring) -> dict[tuple[int, int], BlockHomology]:
     """Per-bigrading homology with representative cycles (all blocks kept,
-    including rank 0, so cube assembly can look up any bigrading)."""
+    including rank 0, so cube assembly can look up any bigrading).  It reads
+    only that X is closed under dropping a black vertex, not face closure."""
     blocks = _blocks(X, eps)
     index = {key: {s: p for p, s in enumerate(masks)} for key, masks in blocks.items()}
     cycles: dict = {}

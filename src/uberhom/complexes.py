@@ -42,7 +42,9 @@ def dim_of(mask: int) -> int:
 
 class SimplicialComplex(Value):
     """Face-closed set of simplices over vertices 0..vertex_count-1, closed
-    by construction and not checked here (`tests/paper.checked_complex`)."""
+    by construction and not checked here (`tests/paper.checked_complex`).
+    `uber._level` builds sets closed only under dropping a black vertex,
+    which is all that `horizontal_homology_with_bases` reads."""
 
     def __init__(self, vertex_count: int, simplices: frozenset[int]):
         self.__dict__.update(vertex_count=vertex_count, simplices=simplices)

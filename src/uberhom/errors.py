@@ -44,6 +44,6 @@ class CapExceeded(UberhomError):
 
 class EngineError(UberhomError, AssertionError):
     """An engine invariant failed (chain-map law, d² = 0, non-negative
-    ranks): a bug."""
+    ranks, the degree-0 and graded Euler identities of `uber`): a bug."""
 
     exit_code = 5

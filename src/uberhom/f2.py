@@ -109,7 +109,8 @@ class HomologyWithBasis:
         for r in boundary_rows:
             if insert(cycles, r):
                 raise EngineError("boundary maps do not compose to zero")
-        self._boundary = {_low_bit(r): r for r in boundary_rows}
+        self.boundary_rows = tuple(boundary_rows)
+        self._boundary = {_low_bit(r): r for r in self.boundary_rows}
         reps = [r for r in cycle_rows if _low_bit(r) not in self._boundary]
         self._reps = {_low_bit(r): (r, i) for i, r in enumerate(reps)}
         self.representatives: tuple[int, ...] = tuple(reps)

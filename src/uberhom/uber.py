@@ -11,13 +11,13 @@ projection onto the target block's basis, read off basis positions.
 The horizontal boundary keeps a simplex's white part W, so every block is a
 direct sum over W, and blackening v kills the summands with v in W and
 includes the others: each tower is a direct sum over W.  If some u outside
-W has W + u not a simplex, u is not in the link of W, the maps in direction
-u are identities, and the summand of W is acyclic.  Only W empty and the
-faces of `star_intersection(X)` (the core) can carry homology.  The core is
-closed under faces, and a face's white part lies in its simplex's, so the
-simplices of core white part form a subcomplex; its cube is a direct
-summand of the whole cube with an acyclic complement, and each colouring's
-homology is taken on that subcomplex alone.
+W has W + u not a simplex, the maps in direction u are identities and the
+summand of W is acyclic, so only W empty and the faces of
+`star_intersection(X)` (the core) can carry homology.  Within a colouring,
+a black cone point b of a summand (s + b in X for its every simplex s)
+pairs s with s + b, a Morse matching with no critical cell (Mischaikow and
+Nanda, Discrete Comput. Geom. 50, 2013), so the summand is acyclic unless
+W is empty, where the chains are unreduced.
 
 A 1-dimensional X that is not a simplex needs no block homology
 (`_graph_cube`).  A core W's summand is the double complex of the chains
@@ -40,16 +40,22 @@ the previous differential is skipped, since that row is a boundary and the
 differential kills it.  Clearing needs only d^2 = 0, so it holds for both.
 
 For every other X each colouring's blocks come from one
-`horizontal_homology_with_bases` call, and the cube edge maps go through
-`d_eta_matrix`, because the benchmark's tracing counts both by name.  A
-closed form for the bottom of the cube and a two-level shortcut for its
-top are provided alongside the full computation.
+`horizontal_homology_with_bases` call, on the core summands less those of
+nonempty W with two black cone points b1, b2 (an AND of per-simplex cone
+masks), and the edge maps from `d_eta_matrix`, as the benchmark's tracing
+counts both by name.  That is exact: one level down, at eps - v with v not
+in W, the summand is a subset on which b1 or b2 is still a cone point, so
+no class maps into a summand left out.  The simplices handed in are closed
+under dropping a black vertex, all the block homology reads, not under
+faces.  Results of either route are checked against `uber_degree0_fast`
+and the graded Euler sums; `uber_top_level` reads the top level alone.
 """
 
 from __future__ import annotations
 
 import os
 from itertools import combinations
+from math import comb
 
 from . import f2
 from .coloured import BlockHomology, Colouring, horizontal_homology_with_bases
@@ -129,22 +135,26 @@ def level_masks(m: int, j: int) -> list[int]:
     return sorted(mask_of(combo) for combo in combinations(range(m), j))
 
 
-def _level(X: SimplicialComplex, core: frozenset, j: int) -> dict:
+def _level(X: SimplicialComplex, core: frozenset, cones: dict, j: int) -> dict:
     """{colouring mask: per-bidegree blocks} over the colourings of weight j,
-    each on the subcomplex of X whose simplices have a core white part."""
+    each on the core summands with W empty or one black cone point at most."""
     m = X.vertex_count
     level = {}
     for mask in level_masks(m, j):
-        kept = frozenset(s for s in X.simplices if s & ~mask in core)
+        parts: dict = {}  # core white part: the simplices of its summand
+        for s in X.simplices:
+            if (w := s & ~mask) in core:
+                parts.setdefault(w, []).append(s)
+        kept = []
+        for w, summand in parts.items():
+            apexes = mask  # the black cone points of the summand
+            for s in summand:
+                apexes &= cones[s]
+            if not w or not apexes & (apexes - 1):
+                kept.extend(summand)
         level[mask] = horizontal_homology_with_bases(
-            SimplicialComplex(m, kept), Colouring(mask, m))
+            SimplicialComplex(m, frozenset(kept)), Colouring(mask, m))
     return level
-
-
-def _core(X: SimplicialComplex) -> frozenset:
-    """White parts whose towers can carry homology: the empty one and the
-    simplices of the star intersection, which is closed under faces."""
-    return frozenset((0, *star_intersection(X)))
 
 
 def _layout(level: dict, rank) -> tuple[dict, dict]:
@@ -241,14 +251,30 @@ def uber_homology(X: SimplicialComplex, cap: int | None = None,
     graph = ((1 << m) - 1 not in X.simplices
              and all(s.bit_count() <= 2 for s in X.simplices))
     ranks = _graph_cube(X) if graph else _engine_cube(X)
+    _check_identities(X, ranks)
     return {key: r for key, r in ranks.items() if bidegrees is None or key[1:] in bidegrees}
+
+
+def _check_identities(X: SimplicialComplex, ranks: dict):
+    """EngineError unless the j = 0 slice is `uber_degree0_fast` and, for each
+    k, the sum of (-1)^(i+j) U_(j,i,k) is 0, or -(-1)^k C(m, k) if X is the
+    full simplex (the signed weight-k simplex counts over all colourings)."""
+    m = X.vertex_count
+    if {(i, k): r for (j, i, k), r in ranks.items() if not j} != uber_degree0_fast(X):
+        raise EngineError("the degree-0 ranks differ from the star intersection's")
+    euler = [sum((-1) ** (i + j) * r for (j, i, w), r in ranks.items() if w == k)
+             for k in range(m + 1)]
+    full = (1 << m) - 1 in X.simplices
+    if euler != [-(-1) ** k * comb(m, k) if full else 0 for k in range(m + 1)]:
+        raise EngineError("the graded Euler sums of the cube differ from their closed form")
 
 
 def _engine_cube(X: SimplicialComplex, lowest: int = 0) -> dict:
     """uber_homology of a nonvoid X from per-colouring block homology, with
     the levels below lowest left empty."""
-    core = _core(X)
-    ranks = cube_ranks(X.vertex_count, lambda j: _level(X, core, j) if j >= lowest else {},
+    m, S, core = X.vertex_count, X.simplices, frozenset((0, *star_intersection(X)))
+    cones = {s: mask_of(u for u in range(m) if s | 1 << u in S) for s in S}
+    ranks = cube_ranks(m, lambda j: _level(X, core, cones, j) if j >= lowest else {},
                        _block_rank, _edge_columns)
     return {(j, i, k): r for (j, (i, k)), r in ranks.items()}
 
@@ -306,11 +332,8 @@ def _dominating_vertices(adj) -> int:
 
 def star_intersection(X: SimplicialComplex) -> tuple[int, ...]:
     """Simplices lying in the closed star of every vertex, ascending masks."""
-    out = []
-    for s in sorted(X.simplices):
-        if all((s | (1 << v)) in X.simplices for v in range(X.vertex_count)):
-            out.append(s)
-    return tuple(out)
+    S = X.simplices
+    return tuple(s for s in sorted(S) if all(s | 1 << v in S for v in range(X.vertex_count)))
 
 
 def uber_degree0_fast(X: SimplicialComplex) -> dict:

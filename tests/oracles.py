@@ -12,8 +12,8 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from uberhom import graphs
-from uberhom.coloured import simplicial_homology
+from uberhom import SimplicialComplex, graphs, uber
+from uberhom.coloured import Colouring, horizontal_homology_with_bases, simplicial_homology
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +251,25 @@ def naive_uber(m: int, facets) -> dict:
             if r:
                 result[(j, i, k)] = r
     return result
+
+
+def core_engine_cube(X: SimplicialComplex) -> dict:
+    """Colour-cube ranks {(j, i, k): rank} by the engine without cone pruning:
+    each colouring's blocks are taken on every simplex of X whose white part
+    is empty or a face of the star intersection, a subcomplex."""
+    m = X.vertex_count
+    core = {0, *uber.star_intersection(X)}
+
+    def level(j):
+        return {mask: horizontal_homology_with_bases(
+                    SimplicialComplex(m, frozenset(s for s in X.simplices
+                                                   if s & ~mask in core)),
+                    Colouring(mask, m))
+                for mask in uber.level_masks(m, j)}
+
+    ranks = uber.cube_ranks(m, level, lambda block: block.hom.rank,
+                            lambda source, target, v: uber.d_eta_matrix(source, target, v).columns)
+    return {(j, i, k): r for (j, (i, k)), r in ranks.items()}
 
 
 def d_eta_chain(chain, v) -> frozenset:

@@ -848,6 +848,30 @@ def test_engine_error_exit_code(files, capsys, monkeypatch):
     assert err == "uberhom: cube edge map failed the chain-map law\n"
 
 
+@pytest.mark.parametrize("route, text", [("_engine_cube", "3\n0 1 2\n"),
+                                          ("_graph_cube", "4\n0 1\n1 2\n2 3\n0 3\n")],
+                         ids=["engine", "graph"])
+@pytest.mark.parametrize("bumped, identity", [
+    (((0, 0, 0), (0, 1, 0)), "degree-0"), (((2, 0, 0),), "Euler")], ids=["degree0", "euler"])
+def test_a_rank_off_by_one_exits_5(tmp_path, capsys, monkeypatch, route, text, bumped, identity):
+    """uber_homology checks its ranks against the degree-0 closed form and the
+    graded Euler sums, so a route that returns ranks one too high exits 5
+    with one uberhom: line: two at level 0 whose Euler signs cancel fail the
+    first check alone, and one at level 2 the second alone."""
+    original = getattr(uber, route)
+
+    def off_by_one(X):
+        ranks = original(X)
+        return {**ranks, **{key: ranks.get(key, 0) + 1 for key in bumped}}
+
+    monkeypatch.setattr(uber, route, off_by_one)
+    path = tmp_path / "X.cplx"
+    path.write_text(text)
+    code, out, err = run_text(capsys, ["uber", str(path)])
+    assert (code, out) == (5, "")
+    assert err.startswith("uberhom: ") and identity in err and err.count("\n") == 1, err
+
+
 def child_env() -> dict:
     """Environment under which a child process imports the same package as
     this one, installed or not."""

@@ -5,6 +5,8 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
+from math import comb
 from pathlib import Path
 
 import networkx as nx
@@ -167,25 +169,132 @@ MIXED_TARGET = from_facets(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4)])
 ], ids=["mixed_target", "cycle5", "torus_min"])
 def test_each_colouring_gets_its_core_subcomplex(monkeypatch, X):
     """The engine makes one horizontal_homology_with_bases call per
-    colouring, on the simplices of X whose white part is empty or a face of
-    the star intersection; that set is face-closed, so checked_complex
-    accepts it, and on some colouring it is smaller than X."""
+    colouring.  It hands in the simplices of X whose white part W is empty,
+    or a face of the star intersection whose summand has at most one black
+    cone point, each summand whole.  Every W it leaves out has two, so its
+    summand is acyclic there and one level down.  The set is closed under
+    dropping a black vertex, all the block homology reads, though it need
+    not be face-closed."""
     m = X.vertex_count
     core = {0, *star_intersection(X)}
+    calls = record_block_inputs(monkeypatch)
+    uber._engine_cube(X)
+    assert sorted(bits for bits, _ in calls) == list(range(1 << m))
+    for bits, kept in calls:
+        summands: dict = {}
+        for s in X.simplices:
+            if s & ~bits in core:
+                summands.setdefault(s & ~bits, set()).add(s)
+        assert kept <= set().union(*summands.values()), bits
+        for w, summand in summands.items():
+            apexes = black_cone_points(X, bits, summand)
+            if summand <= kept:
+                assert not w or len(apexes) <= 1, (bits, w)
+            else:
+                assert w and not summand & kept and len(apexes) >= 2, (bits, w)
+        for s in kept:
+            for b in vertices_of(s & bits):
+                assert s == 1 << b or s ^ 1 << b in kept, (bits, s)
+
+
+def record_block_inputs(monkeypatch) -> list:
+    """Patch the engine's block homology to record (colouring mask, simplex
+    set) of each call, in the returned list."""
     original = uber.horizontal_homology_with_bases
     calls = []
 
     def recorder(Y, eps):
-        calls.append((eps.bits, Y))
+        calls.append((eps.bits, Y.simplices))
         return original(Y, eps)
 
     monkeypatch.setattr(uber, "horizontal_homology_with_bases", recorder)
-    uber._engine_cube(X)
-    assert sorted(bits for bits, _ in calls) == list(range(1 << m))
-    for bits, Y in calls:
-        assert Y == checked_complex(
-            m, (s for s in X.simplices if s & ~bits in core)), bits
-    assert any(Y.simplices < X.simplices for _, Y in calls)
+    return calls
+
+
+def black_cone_points(X, bits, summand) -> set:
+    """Black vertices b with s + b in X for every simplex s of the summand,
+    on vertex sets."""
+    simplices = {frozen(s) for s in X.simplices}
+    return {b for b in frozen(bits) if all(frozen(s) | {b} in simplices for s in summand)}
+
+
+def test_uber_on_boundary8_prunes_cone_summands(monkeypatch):
+    """uber on the boundary of the 8-simplex, the benchmark's largest
+    cube_blocks input, still makes one block homology call per colouring,
+    on 42,894 simplices in all, against the 261,102 with a core white part:
+    at most colourings nearly every core summand is a cone on two black
+    vertices."""
+    X = standard_complex("boundary", 8)
+    core = {0, *star_intersection(X)}
+    calls = record_block_inputs(monkeypatch)
+    bottom = {(0, i, i + 1): comb(9, i + 1) for i in range(7)}
+    top = {(9 - k, 7, k): comb(9, k) for k in range(8)}
+    assert uber_homology(X) == {**bottom, (1, 0, 0): 1, **top}
+    assert sorted(bits for bits, _ in calls) == list(range(512))
+    assert sum(len(kept) for _, kept in calls) == 42_894
+    assert sum(1 for bits in range(512) for s in X.simplices if s & ~bits in core) == 261_102
+
+
+@st.composite
+def relabelled_complexes(draw):
+    """A complex on at most 8 vertices from a drawn seed: up to 5 random
+    facets on 1 to 6 vertices, coned one time in three and suspended one
+    time in three where that stays within 8 vertices, then relabelled."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    m = rng.randint(1, 6)
+    X = from_facets(m, [rng.sample(range(m), rng.randint(1, m))
+                        for _ in range(rng.randint(1, 5))])
+    if rng.random() < 1 / 3 and X.vertex_count < 8:
+        X = cone(X)
+    if rng.random() < 1 / 3 and X.vertex_count <= 6:
+        X = X.suspension()
+    return X.permuted(rng.sample(range(X.vertex_count), X.vertex_count))
+
+
+@settings(max_examples=40)
+@given(relabelled_complexes())
+def test_uber_homology_matches_unpruned_engine(X):
+    """Leaving out the summands with two black cone points keeps every rank
+    of the engine that takes each colouring's homology on all core white
+    parts."""
+    assert uber_homology(X) == oracles.core_engine_cube(X)
+
+
+@st.composite
+def large_complexes(draw):
+    """A complex on 9 to 12 vertices from a drawn seed: 2 to 5 random facets
+    of 1 to 4 vertices, coned one time in two, so that its core is not
+    empty."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    coned = rng.random() < 0.5
+    m = rng.randint(8, 11) if coned else rng.randint(9, 12)
+    X = from_facets(m, [rng.sample(range(m), rng.randint(1, 4))
+                        for _ in range(rng.randint(2, 5))])
+    return cone(X) if coned else X
+
+
+@settings(max_examples=6)
+@given(large_complexes())
+def test_identity_checks_on_nine_to_twelve_vertices(X):
+    """Above the brute-force oracle's reach, uber_homology's own checks hold,
+    and so do both identities recomputed here: the j = 0 slice from the star
+    intersection on vertex sets, and for each k the sum of (-1)^(i+j) U_(j,i,k)
+    as the sum over colourings of (-1)^j times the signed weight-k simplex
+    count (Euler-Poincare per colouring)."""
+    m = X.vertex_count
+    ranks = uber_homology(X)
+    simplices = {frozen(s) for s in X.simplices}
+    star = [s for s in simplices if all(s | {v} in simplices for v in range(m))]
+    degree0 = Counter((len(s) - 1, len(s)) for s in star)
+    assert {(i, k): r for (j, i, k), r in ranks.items() if j == 0} == degree0
+    euler = [0] * (m + 1)
+    for (j, i, k), r in ranks.items():
+        euler[k] += (-1) ** (i + j) * r
+    direct = [0] * (m + 1)
+    for bits in range(1 << m):
+        for s in X.simplices:
+            direct[(s & ~bits).bit_count()] += (-1) ** (bits.bit_count() + s.bit_count() - 1)
+    assert euler == direct
 
 
 @settings(max_examples=100)

@@ -35,14 +35,6 @@ VALUES = [
 ]
 
 
-def _same(a, b) -> bool:
-    """Equality, except that a homology basis compares by identity, so a
-    BlockHomology is compared by its basis and its representatives."""
-    if isinstance(a, BlockHomology):
-        return (a.basis, a.hom.representatives) == (b.basis, b.hom.representatives)
-    return a == b
-
-
 @pytest.mark.parametrize("cls, kwargs", VALUES, ids=[cls.__name__ for cls, _ in VALUES])
 def test_value_contract(cls, kwargs):
     value = cls(**kwargs)
@@ -55,7 +47,7 @@ def test_value_contract(cls, kwargs):
         with pytest.raises(AttributeError):
             delattr(value, name)
         assert getattr(value, name) is kwargs[name]
-    assert _same(pickle.loads(pickle.dumps(value)), value)
+    assert pickle.loads(pickle.dumps(value)) == value
 
 
 def test_value_checks_keep_their_errors():
@@ -93,3 +85,14 @@ def test_theta_level_equality_ignores_signature_counts():
     assert split.entries == joined.entries == ((1, 1, 0, 1), (1, 0, 0, 1))
     assert split != ThetaLevel(2, split.signature_counts)
     assert split != ThetaLevel(1, ((((1, 0, 1),), 2),))
+
+
+def test_block_homology_compares_by_value():
+    """Blocks built apart from equal data are equal, with equal hashes; other
+    representatives or boundary rows make another block."""
+    first, second = (BlockHomology((1, 2, 4), homology_at([3, 4], [7], 3)) for _ in range(2))
+    assert first.hom is not second.hom
+    assert first == second and hash(first) == hash(second)
+    assert first != BlockHomology((1, 2, 4), homology_at([3, 4], [], 3))
+    other = BlockHomology((1, 2, 4), homology_at([3, 4], [3], 3))
+    assert other.hom.representatives == first.hom.representatives and other != first
