@@ -8,19 +8,25 @@ homology here is over GF(2).
 The horizontal differential keeps a simplex's white part W, so its complex
 is the direct sum over W of the black chains of the link of W (reduced for
 nonempty W), shifted by |W|.  The rank-only routines group the unsorted
-simplices by summand and reduce each chain of blocks top-down, skipping
-lowest bits of image rows from above, which are cycles completing to a basis
-(clearing; Chen and Kerber, "Persistent homology computation with a twist",
-EuroCG 2011).  The diagonal differential is the horizontal one of the
-complementary colouring, so diagonal homology is that, regraded.
+simplices by summand and reduce each chain of blocks relative to the closed
+star of one droppable vertex b, a cone and so acyclic (Mischaikow and Nanda,
+Discrete Comput. Geom. 50, 2013), adding back its H_0 = 1 on unreduced
+chains.  They go top-down, skipping lowest bits of image rows from above,
+which are cycles completing to a basis (clearing; Chen and Kerber,
+"Persistent homology computation with a twist", EuroCG 2011).  The diagonal
+differential is the horizontal one of the complementary colouring, so
+diagonal homology is that, regraded.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 from . import f2
 from ._value import Value
 from .complexes import SimplicialComplex, vertices_of
-from .errors import ColouringMismatch, InvalidColouring, ParseError
+from .errors import ColouringMismatch, EngineError, InvalidColouring, ParseError
 
 
 class Colouring(Value):
@@ -75,40 +81,57 @@ def _blocks(X: SimplicialComplex, eps: Colouring) -> dict[tuple[int, int], list[
 
 def _boundary_columns(masks, target: dict[int, int], droppable: int):
     """Columns of the boundary part that drops one droppable vertex, one per
-    simplex; target indexes the faces, which must all lie in it."""
-    for s in masks:
-        col = 0
-        rest = s & droppable
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            col |= 1 << target[s ^ bit]
-        yield col
+    simplex.  target maps each face to its row plus one, or to 0 when the
+    face adds nothing; a face it lacks breaks the closure law."""
+    try:
+        for s in masks:
+            col = 0
+            rest = s & droppable
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                col |= 1 << target[s ^ bit]
+            yield col >> 1
+    except KeyError:
+        raise EngineError(f"closure law broken: face {s ^ bit:#x} of {s:#x} "
+                          "is missing from the block below") from None
 
 
 def _chain_ranks(blocks: dict, down, droppable: int) -> dict:
     """Nonzero homology ranks of a chain complex of simplex blocks.
 
     The differential drops one droppable vertex and maps block key to block
-    down(key); a block whose target is absent maps to zero.  Each chain is
-    reduced from its top down, skipping the simplices at the lowest bits P
-    of the image rows r_p of the block above (Chen-Kerber clearing): d^2 = 0
-    makes the r_p cycles, and with the e_q, q not in P, they form a basis, so
-    the kept columns span the image.  Only the block just reduced passes
-    its pivot positions down, and each target is indexed on arrival.
+    down(key); a block whose target is absent maps to zero.  Each chain must
+    be closed under that, down to its droppable-free cell or to points.
+    It is reduced relative to the star of b, the droppable vertex in the
+    most top-block simplices: the simplices s with s | b in the chain.  The
+    star is a cone on b (s pairs with s | b), so it is acyclic, except for
+    H_0 = 1 when the chain has no droppable-free cell (unreduced), which
+    the bottom key gains back.  Only the simplices s without b and with
+    s | b not in the block above get columns, and faces in the star add
+    nothing.  Each chain is walked from its top down, skipping the
+    simplices at the lowest bits P of the image rows r_p of the block above
+    (Chen-Kerber clearing): d^2 = 0 makes the r_p cycles, and with the e_q,
+    q not in P, they form a basis, so the kept columns span the image.
     """
-    out_rank, in_rank = {}, {}
+    ranks = {}
     for key in blocks.keys() - {down(k) for k in blocks}:
-        cleared = set()
+        top = blocks[key]
+        b = max((1 << v for v in vertices_of(reduce(or_, top, 0) & droppable)),
+                key=lambda bit: sum(map(bit.__and__, top)) // bit, default=0)
+        kept, cleared, in_rank, here = [s for s in top if not s & b], set(), 0, set(top)
         while (below := down(key)) in blocks:
-            target = {s: p for p, s in enumerate(blocks[below])}
-            kept = (s for p, s in enumerate(blocks[key]) if p not in cleared)
+            target = dict.fromkeys(blocks[below], 0)
+            rows = [t for t in blocks[below] if not (t & b or t | b in here)]
+            target.update(zip(rows, range(1, len(rows) + 1)))
             pivots: dict = {}
-            out_rank[key] = in_rank[below] = f2.rank_of(
-                _boundary_columns(kept, target, droppable), pivots=pivots)
-            cleared, key = set(pivots), below
-    return {key: h for key, masks in blocks.items()
-            if (h := len(masks) - out_rank.get(key, 0) - in_rank.get(key, 0))}
+            out_rank = f2.rank_of(_boundary_columns(
+                (s for p, s in enumerate(kept) if p not in cleared), target, droppable),
+                pivots=pivots)
+            ranks[key] = len(kept) - in_rank - out_rank
+            here, kept, cleared, in_rank, key = target, rows, set(pivots), out_rank, below
+        ranks[key] = len(kept) - in_rank + (b > 0 and all(s & droppable for s in blocks[key]))
+    return {key: h for key, h in ranks.items() if h}
 
 
 def horizontal_ranks(blocks: dict, black: int) -> dict[tuple[int, int], int]:
@@ -159,7 +182,7 @@ def horizontal_homology_with_bases(X: SimplicialComplex,
     including rank 0, so cube assembly can look up any bigrading).  It reads
     only that X is closed under dropping a black vertex, not face closure."""
     blocks = _blocks(X, eps)
-    index = {key: {s: p for p, s in enumerate(masks)} for key, masks in blocks.items()}
+    index = {key: {s: p for p, s in enumerate(masks, 1)} for key, masks in blocks.items()}
     cycles: dict = {}
     boundaries: dict = {}
     for (i, k), masks in blocks.items():

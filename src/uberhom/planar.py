@@ -281,11 +281,12 @@ def theorem42_verify(P: PlaneGraph) -> dict:
 
     Left side: horizontal homology of the coloured overlay matching complex,
     with every matching of the 4|E| overlay edges filed under its dimension
-    and white part as the search finds it; it uses neither the theorem nor
-    the symmetry.  Right side: overlay_ranks.  The two sides reduce
-    independent complexes through `horizontal_ranks`, as does
-    `horizontal_homology`; the tests check both against brute-force oracles
-    on the overlays of small graphs.
+    and white part as the search finds it.  It uses neither the theorem nor
+    the symmetry: `horizontal_ranks` reduces each summand relative to the
+    star of one black vertex, which holds for any complex.  Right side:
+    overlay_ranks.  The two sides reduce independent complexes through
+    `horizontal_ranks`, as does `horizontal_homology`; the tests check both
+    against brute-force oracles on the overlays of small graphs.
     """
     T = tait_graph(P)
     rhs = overlay_ranks(T)  # raises before any enumeration

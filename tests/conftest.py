@@ -1,6 +1,6 @@
 """Shared fixtures: the bundled complex suite, the random small complexes of
-the property tests, plane-graph fixtures, the layers the benchmark traces,
-and a terminal summary that prints one PASS/FAIL line per acceptance
+the property tests, plane-graph fixtures, a recorder of the columns handed
+to `f2.rank_of`, the layers the benchmark traces, and a terminal summary that prints one PASS/FAIL line per acceptance
 criterion."""
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from uberhom import f2
 from uberhom import (
     PlaneGraph,
     SimpleGraph,
@@ -81,6 +82,21 @@ def small_complexes(draw):
     facets = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1),
                            min_size=1, max_size=6))
     return from_facets(m, facets)
+
+
+@pytest.fixture
+def rank_of_columns(monkeypatch) -> list:
+    """The columns handed to `f2.rank_of`, recorded as they arrive."""
+    columns = []
+    original = f2.rank_of
+
+    def recording(vectors, pivots=None):
+        vectors = list(vectors)
+        columns.extend(vectors)
+        return original(vectors, pivots=pivots)
+
+    monkeypatch.setattr(f2, "rank_of", recording)
+    return columns
 
 
 # ---------------------------------------------------------------------------

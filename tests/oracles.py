@@ -12,7 +12,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from uberhom import SimplicialComplex, graphs, uber
+from uberhom import SimplicialComplex, f2, graphs, uber, vertices_of
 from uberhom.coloured import Colouring, horizontal_homology_with_bases, simplicial_homology
 
 
@@ -270,6 +270,32 @@ def core_engine_cube(X: SimplicialComplex) -> dict:
     ranks = uber.cube_ranks(m, level, lambda block: block.hom.rank,
                             lambda source, target, v: uber.d_eta_matrix(source, target, v).columns)
     return {(j, i, k): r for (j, (i, k)), r in ranks.items()}
+
+
+def unquotiented_chain_ranks(blocks: dict, down, droppable: int) -> dict:
+    """`coloured._chain_ranks` without the star quotient: every simplex of a
+    chain gets a column, reduced top-down with Chen-Kerber clearing.  The
+    differential drops one droppable vertex and maps block key to block
+    down(key); a block whose target is absent maps to zero."""
+
+    def columns(masks, target):
+        for s in masks:
+            col = 0
+            for v in vertices_of(s & droppable):
+                col |= 1 << target[s ^ 1 << v]
+            yield col
+
+    out_rank, in_rank = {}, {}
+    for key in blocks.keys() - {down(k) for k in blocks}:
+        cleared = set()
+        while (below := down(key)) in blocks:
+            target = {s: p for p, s in enumerate(blocks[below])}
+            kept = (s for p, s in enumerate(blocks[key]) if p not in cleared)
+            pivots: dict = {}
+            out_rank[key] = in_rank[below] = f2.rank_of(columns(kept, target), pivots=pivots)
+            cleared, key = set(pivots), below
+    return {key: h for key, masks in blocks.items()
+            if (h := len(masks) - out_rank.get(key, 0) - in_rank.get(key, 0))}
 
 
 def d_eta_chain(chain, v) -> frozenset:

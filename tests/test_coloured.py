@@ -1,6 +1,7 @@
 """Unit tests for colourings and the bigraded filtered homology."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,10 @@ from uberhom import coloured
 from uberhom import (
     Colouring,
     ColouringMismatch,
+    EngineError,
     InvalidColouring,
     ParseError,
+    SimplicialComplex,
     diagonal_homology,
     dual_grading,
     filtered_homology,
@@ -24,9 +27,10 @@ from uberhom import (
     standard_complex,
     vertices_of,
 )
+from uberhom.graphs import matching_blocks
 
 from oracles import (check_split_boundaries, naive_diagonal, naive_horizontal,
-                     naive_simplicial_homology)
+                     naive_simplicial_homology, unquotiented_chain_ranks)
 from paper import black_subcomplex, euler_characteristic, f_vector, flatten, weight
 
 
@@ -154,22 +158,85 @@ def test_filtered_homology_matches_oracle(case):
         assert filtered_homology(X, eps, k) == naive_simplicial_homology(kept), k
 
 
-def test_rank_only_homology_clears(monkeypatch):
-    """Each chain is reduced top-down, skipping the simplices that are
-    pivots of the image from the dimension above.  On the boundary of the
-    8-simplex that leaves sum(rank d) + sum(h in dimension >= 1) = 254 + 1
-    columns, not all 501 simplices of dimension >= 1."""
-    columns = []
-    original = coloured.f2.rank_of
-
-    def recording(vectors, pivots=None):
-        vectors = list(vectors)
-        columns.extend(vectors)
-        return original(vectors, pivots=pivots)
-
-    monkeypatch.setattr(coloured.f2, "rank_of", recording)
+def test_rank_only_homology_clears(rank_of_columns):
+    """Each chain is reduced relative to the star of one vertex b and
+    top-down, skipping the simplices that are pivots of the image from the
+    dimension above.  On the boundary of the 8-simplex, every simplex but
+    the facet opposite b lies in b's star, so one column is left, where the
+    unquotiented route needs 255 (sum(rank d) + sum(h in dimension >= 1)).
+    Each vertex of torus_min lies in 6 of its 14 triangles, and the
+    relative complex keeps 8 triangles, the 9 edges outside b's link and no
+    vertex: clearing cuts its 17 columns to 10 (22 unquotiented)."""
     assert simplicial_homology(standard_complex("boundary", 8)) == {0: 1, 7: 1}
-    assert len(columns) == 255
+    assert len(rank_of_columns) == 1
+    rank_of_columns.clear()
+    assert simplicial_homology(standard_complex("torus_min")) == {0: 1, 1: 2, 2: 1}
+    assert len(rank_of_columns) == 10
+
+
+def test_broken_closure_raises_engine_error():
+    """A face missing from the block below is an engine error that names the
+    closure law, in the rank-only reduction and in block homology with
+    bases alike.  In the forest 01, 12, 13, 34, 45 the star vertex is 1, in
+    three edges; edge 45 keeps its column, and its face 5 is dropped."""
+    edges = [0b000011, 0b000110, 0b001010, 0b011000, 0b110000]
+    points = [1 << v for v in range(6)]
+    assert coloured.horizontal_ranks({(1, 0): edges, (0, 0): points}, -1) == {(0, 0): 1}
+    with pytest.raises(EngineError, match="closure law") as caught:
+        coloured.horizontal_ranks({(1, 0): edges, (0, 0): points[:5]}, -1)
+    assert caught.value.exit_code == 5
+    X = SimplicialComplex(2, frozenset({0b01, 0b11}))
+    with pytest.raises(EngineError, match="closure law"):
+        horizontal_homology_with_bases(X, Colouring(0b11, 2))
+
+
+def _both_routes(compute):
+    """compute() through the star quotient, then through the oracle."""
+    quotiented = compute()
+    with mock.patch.object(coloured, "_chain_ranks", unquotiented_chain_ranks):
+        return quotiented, compute()
+
+
+@settings(max_examples=200)
+@given(coloured_complexes(max_vertices=7))
+def test_star_quotient_matches_unquotiented_route(case):
+    X, eps = case
+    for compute in (lambda: horizontal_homology(X, eps),
+                    lambda: [filtered_homology(X, eps, k)
+                             for k in range(-1, X.vertex_count + 1)],
+                    lambda: simplicial_homology(X),
+                    lambda: simplicial_homology(X, reduced=True)):
+        quotiented, oracle = _both_routes(compute)
+        assert quotiented == oracle
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]), max_size=9),
+    st.integers(0, (1 << 9) - 1), st.booleans())))
+def test_star_quotient_on_matching_blocks(case):
+    """Matching complexes filed by a random white part, unreduced or with
+    the empty matching added, as the survivor complexes of `tait` are."""
+    edges, part, reduced = case
+    blocks = matching_blocks(edges, part)
+    if reduced:
+        blocks[(-1, 0)] = [0]
+    down = lambda dw: (dw[0] - 1, dw[1])
+    assert coloured._chain_ranks(blocks, down, ~part) == \
+        unquotiented_chain_ranks(blocks, down, ~part)
+
+
+@pytest.mark.parametrize("blocks, down, droppable, expected", [
+    ({}, lambda d: d - 1, -1, {}),  # the void complex
+    ({-1: [0]}, lambda d: d - 1, -1, {-1: 1}),  # the void complex, reduced
+    ({0: [0b1, 0b10, 0b100]}, lambda d: d - 1, -1, {0: 3}),  # one block
+    ({(1, 0b11): [0b11]}, lambda dw: (dw[0] - 1, dw[1]), 0b100, {(1, 0b11): 1}),  # W only
+    ({(2, 0b11): [0b111], (1, 0b11): [0b11]}, lambda dw: (dw[0] - 1, dw[1]), 0b100, {}),
+])
+def test_star_quotient_on_small_chains(blocks, down, droppable, expected):
+    assert coloured._chain_ranks(blocks, down, droppable) == expected
+    assert unquotiented_chain_ranks(blocks, down, droppable) == expected
 
 
 def summand_ranks(X, kept) -> dict[tuple[int, int], int]:

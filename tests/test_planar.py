@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from uberhom import cli, planar
+from uberhom import cli, coloured, planar
 from uberhom import (
     CapExceeded,
     Colouring,
@@ -29,7 +29,7 @@ from uberhom import (
 )
 
 from conftest import rotations_from_coordinates
-from oracles import crossing_set_overlay_ranks, naive_horizontal
+from oracles import crossing_set_overlay_ranks, naive_horizontal, unquotiented_chain_ranks
 from paper import dual_graph, tait_matching_complex, to_networkx
 
 SMALL = ["triangle", "square", "path2", "star3", "diamond"]
@@ -228,6 +228,19 @@ def test_overlay_ranks_against_built_overlay(planes):
     for name, P in cases.items():
         T = tait_graph(P)
         assert overlay_ranks(T) == horizontal_homology(*tait_matching_complex(T)), name
+
+
+def test_prism_overlay_reduced_relative_to_a_star(planes, rank_of_columns, monkeypatch):
+    """The largest quotiented case in the tests: the prism's overlay, 277,927
+    matchings, hands `rank_of` 39,042 columns relative to one black vertex's
+    star per summand (139,499 unquotiented), and its horizontal ranks equal
+    the unquotiented route's."""
+    M, eps = tait_matching_complex(tait_graph(planes["prism"]))
+    assert len(M.simplices) == 277_927
+    quotiented = horizontal_homology(M, eps)
+    assert len(rank_of_columns) == 39_042
+    monkeypatch.setattr(coloured, "_chain_ranks", unquotiented_chain_ranks)
+    assert quotiented == horizontal_homology(M, eps)
 
 
 def _asymmetric_plane_graph() -> PlaneGraph:
