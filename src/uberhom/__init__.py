@@ -11,10 +11,10 @@ from .coloured import (BlockHomology, Colouring, diagonal_homology, dual_grading
                        horizontal_homology_with_bases, simplicial_homology)
 from .errors import (CapExceeded, ColouringMismatch, ComplexError, EngineError,
                      InvalidColouring, ParseError, UberhomError)
-from .graphs import (Dissimilarity, SimpleGraph, closed_form_signature, dissimilarity,
-                     encode_graph6, first_differing_level, graph_as_complex, h0_graph,
-                     h1_0, h1_1, h2_graph, matching_complex, matching_complex_of_edges,
-                     parse_graph6, theta, theta_classes)
+from .graphs import (SimpleGraph, closed_form_signature, dissimilarity, encode_graph6,
+                     first_differing_level, graph_as_complex, h0_graph, h1_0, h1_1,
+                     h2_graph, matching_complex, matching_complex_of_edges, parse_graph6,
+                     theta, theta_classes)
 from .morse import elementary_decomposition, verify_morse
 from .planar import (PlaneGraph, format_plane_graph, overlay_ranks, parse_plane_graph,
                      tait_colouring, tait_graph, theorem42_verify)

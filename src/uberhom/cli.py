@@ -29,7 +29,7 @@ from collections import Counter
 from collections.abc import Callable
 from functools import cache
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -39,9 +39,8 @@ from .coloured import (Colouring, diagonal_homology, dual_grading, filtered_homo
 from .complexes import (SimplicialComplex, _format_facets, dim_of, read_complex,
                         vertices_of)
 from .errors import CapExceeded, ParseError, UberhomError
-from .graphs import (Dissimilarity, SimpleGraph, first_differing_level, h0_graph, h1_0,
-                     h1_1, h2_graph, matching_complex, parse_graph6, theta,
-                     theta_classes)
+from .graphs import (SimpleGraph, first_differing_level, h0_graph, h1_0, h1_1, h2_graph,
+                     matching_complex, parse_graph6, theta, theta_classes)
 from .morse import elementary_decomposition, verify_morse
 from .planar import (PlaneGraph, overlay_ranks, parse_plane_graph, tait_colouring,
                      tait_graph, theorem42_verify)
@@ -252,11 +251,13 @@ DISSIM_FIELDS = ("name1", "name2", "delta_num", "delta_den", "first_differing_le
 
 
 def _dissim_fields(m: int | None, j: int | None) -> tuple[str, str, str]:
+    # Delta = (m - j)/m, or 0 when no level differs, in lowest terms by gcd
+    # rather than Fraction, so no CLI process imports fractions
     if m is None:  # the vertex counts differ
         return ("inf", "", "")
-    d = Dissimilarity.at_level(m, j)
-    return (str(d.value.numerator), str(d.value.denominator),
-            "theta-equivalent" if j is None else str(j))
+    num = 0 if j is None else m - j
+    g = gcd(num, m)
+    return (str(num // g), str(m // g), "theta-equivalent" if j is None else str(j))
 
 
 def cmd_dissim(corpus: list[tuple[str, SimpleGraph]], args) -> dict:

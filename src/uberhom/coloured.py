@@ -211,17 +211,11 @@ def filtered_homology(X: SimplicialComplex, eps: Colouring, k: int) -> dict[int,
     return _chain_ranks(blocks, lambda d: d - 1, -1)
 
 
-def simplicial_homology(X: SimplicialComplex, reduced: bool = False) -> dict[int, int]:
-    """Plain simplicial homology ranks over GF(2), keyed by dimension.
-
-    With reduced=True the augmentation to a degree -1 generator is included;
-    the void complex then has rank 1 in degree -1.
-    """
-    # the augmentation is the boundary onto the empty simplex (mask 0)
-    blocks: dict[int, list[int]] = {-1: [0]} if reduced else {}
-    for s in X.simplices:
-        blocks.setdefault(s.bit_count() - 1, []).append(s)
-    return _chain_ranks(blocks, lambda d: d - 1, -1)
+def simplicial_homology(X: SimplicialComplex) -> dict[int, int]:
+    """Plain simplicial homology ranks over GF(2), keyed by dimension: the
+    weight-0 truncation of the all-black colouring, which is all of X."""
+    m = X.vertex_count
+    return filtered_homology(X, Colouring((1 << m) - 1, m), 0)
 
 
 def graded_euler(X: SimplicialComplex, eps: Colouring) -> dict[int, int]:

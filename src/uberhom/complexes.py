@@ -2,11 +2,12 @@
 
 A simplex is a nonempty bitmask over vertex indices; the universe is capped
 at 64 vertices so every simplex fits in one machine word.  Complexes are
-immutable and face-closed by construction: each builder closes or filters
-its simplex set so that it stays closed, unchecked at run time, and
-`tests/paper.checked_complex` asserts it for every builder.  A complex may
-be void (zero simplices, as for an empty matching complex) while keeping
-the ambient universe.
+immutable.  Each builder closes or filters its simplex set so that it is
+face-closed, unchecked at run time, and `tests/paper.checked_complex`
+asserts it for every builder; only `uber._level` builds sets closed just
+under dropping a black vertex (see SimplicialComplex).  A complex may be
+void (zero simplices, as for an empty matching complex) while keeping the
+ambient universe.
 """
 
 from __future__ import annotations
@@ -149,45 +150,6 @@ def _cycle(m: int) -> SimplicialComplex:
     return from_facets(m, [(i, (i + 1) % m) for i in range(m)])
 
 
-def _path(n: int) -> SimplicialComplex:
-    if n < 1:
-        raise ComplexError("path needs at least 1 edge")
-    return from_facets(n + 1, [(i, i + 1) for i in range(n)])
-
-
-def _grid(rows: int, cols: int) -> SimplicialComplex:
-    if rows < 1 or cols < 1 or rows * cols < 2:
-        raise ComplexError("grid needs at least 2 vertices")
-    edges = []
-    for i in range(rows):
-        for j in range(cols):
-            if j + 1 < cols:
-                edges.append((i * cols + j, i * cols + j + 1))
-            if i + 1 < rows:
-                edges.append((i * cols + j, (i + 1) * cols + j))
-    return from_facets(rows * cols, edges)
-
-
-def _cube(n: int) -> SimplicialComplex:
-    if n < 1:
-        raise ComplexError("cube needs dimension at least 1")
-    edges = [(x, x | (1 << b)) for x in range(1 << n)
-             for b in range(n) if not x >> b & 1]
-    return from_facets(1 << n, edges)
-
-
-def _complete(m: int) -> SimplicialComplex:
-    if m < 2:
-        raise ComplexError("complete graph needs at least 2 vertices")
-    return from_facets(m, combinations(range(m), 2))
-
-
-def _complete_bipartite(a: int, b: int) -> SimplicialComplex:
-    if a < 1 or b < 1:
-        raise ComplexError("bipartite parts must be nonempty")
-    return from_facets(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
 def _torus_min() -> SimplicialComplex:
     facets = [((i) % 7, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
     facets += [((i) % 7, (i + 2) % 7, (i + 3) % 7) for i in range(7)]
@@ -204,11 +166,6 @@ _STANDARD = {
     "simplex": _simplex,
     "boundary": _boundary,
     "cycle": _cycle,
-    "path": _path,
-    "grid": _grid,
-    "cube": _cube,
-    "complete": _complete,
-    "complete_bipartite": _complete_bipartite,
     "torus_min": _torus_min,
     "rp2_min": _rp2_min,
 }

@@ -125,13 +125,8 @@ def parse_graph6(text: str) -> SimpleGraph:
 
 def encode_graph6(G: SimpleGraph) -> str:
     """Canonical graph6 encoding of the graph as labelled."""
-    n = G.vertex_count
-    if n <= 62:
-        head = [n]
-    elif n <= 258047:
-        head = [63, n >> 12, (n >> 6) & 63, n & 63]
-    else:
-        raise ParseError("graph6: vertex count too large to encode")
+    n = G.vertex_count  # at most MAX_VERTICES, so four header bytes always suffice
+    head = [n] if n <= 62 else [63, n >> 12, (n >> 6) & 63, n & 63]
     nbits = n * (n - 1) // 2
     body = [0] * ((nbits + 5) // 6)
     pos = 0
@@ -329,37 +324,22 @@ def theta_classes(graphs) -> list[list[int]]:
             keys[i].append(ids.setdefault(theta(graphs[i], j).pooled, len(ids)))
 
 
-class Dissimilarity(Value):
-    """Result of comparing two graphs level by level.
-
-    value is the Fraction 1 - j*/m for the first differing level j*, 0 when
-    every level agrees (theta_equivalent set), and None when the vertex
-    counts differ (the infinite marker).
-    """
-
-    def __init__(self, value, first_differing_level: int | None, theta_equivalent: bool):
-        self.__dict__.update(value=value, first_differing_level=first_differing_level,
-                             theta_equivalent=theta_equivalent)
-
-    @classmethod
-    def at_level(cls, m: int, j: int | None) -> "Dissimilarity":
-        """m-vertex graphs first differing at level j, or never (None)."""
-        from fractions import Fraction  # here, so only a Δ value pays for it
-        return (cls(Fraction(0), None, True) if j is None
-                else cls(Fraction(m - j, m), j, False))
-
-
 def first_differing_level(ids1, ids2) -> int | None:
     """First index at which two lists of one theta_classes call differ."""
     return next((j for j, (a, b) in enumerate(zip(ids1, ids2)) if a != b), None)
 
 
-def dissimilarity(G1: SimpleGraph, G2: SimpleGraph) -> Dissimilarity:
-    """Delta(G1, G2); theta_classes stops at the first differing level."""
+def dissimilarity(G1: SimpleGraph, G2: SimpleGraph):
+    """Delta(G1, G2) as a Fraction: 1 - j/m for m-vertex graphs whose first
+    differing level is j, 0 when every level agrees, and None (the infinite
+    marker) when the vertex counts differ.  theta_classes stops at the first
+    differing level."""
     if G1.vertex_count != G2.vertex_count:
-        return Dissimilarity(None, None, False)
+        return None
+    from fractions import Fraction  # here, so only a Delta value pays for it
+    m = G1.vertex_count
     j = first_differing_level(*theta_classes([G1, G2]))
-    return Dissimilarity.at_level(G1.vertex_count, j)
+    return Fraction(0 if j is None else m - j, m)
 
 
 # ---------------------------------------------------------------------------

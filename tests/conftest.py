@@ -22,7 +22,7 @@ from uberhom import (
     standard_complex,
 )
 
-from paper import cone, is_connected
+from paper import cone, is_connected, shape
 
 # every property test draws the same examples on every run, however long it
 # takes; each test states only its max_examples
@@ -46,13 +46,13 @@ def build_suite() -> list[tuple[str, object]]:
         ("cycle4", standard_complex("cycle", 4)),
         ("cycle5", standard_complex("cycle", 5)),
         ("cycle6", standard_complex("cycle", 6)),
-        ("path3", standard_complex("path", 3)),
-        ("path5", standard_complex("path", 5)),
+        ("path3", shape("path", 3)),
+        ("path5", shape("path", 5)),
         ("rp2_min", standard_complex("rp2_min")),
         ("octahedron", standard_complex("cycle", 4).suspension()),
         ("cone_cycle4", cone(standard_complex("cycle", 4))),
-        ("complete4", standard_complex("complete", 4)),
-        ("bipartite23", standard_complex("complete_bipartite", 2, 3)),
+        ("complete4", shape("complete", 4)),
+        ("bipartite23", shape("complete_bipartite", 2, 3)),
         # two filled triangles sharing an edge, with a hollow triangle
         # attached at one vertex
         ("fig8", from_facets(6, [(1, 2, 5), (2, 3, 5), (0, 3), (3, 4), (0, 4)])),

@@ -15,6 +15,8 @@ from fractions import Fraction
 from uberhom import SimplicialComplex, f2, graphs, uber, vertices_of
 from uberhom.coloured import Colouring, horizontal_homology_with_bases, simplicial_homology
 
+from paper import reduced_homology
+
 
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra on list-of-list matrices
@@ -437,7 +439,7 @@ def crossing_set_overlay_ranks(T) -> dict[tuple[int, int], int]:
         k = len(removed)
         survivors = [be for be in black if be[0] not in removed]
         M = graphs.matching_complex_of_edges(survivors)
-        for dim, r in simplicial_homology(M, reduced=True).items():
+        for dim, r in reduced_homology(M).items():
             ranks[(dim + k, k)] = ranks.get((dim + k, k), 0) + count * r
     return ranks
 

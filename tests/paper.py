@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import networkx as nx
 
-from uberhom import (MAX_VERTICES, Colouring, ColouringMismatch, PlaneGraph, SimpleGraph,
-                     SimplicialComplex, dim_of, graph_as_complex, horizontal_homology,
-                     mask_of, matching_complex_of_edges, simplicial_homology,
-                     standard_complex, tait_colouring, uber_degree0_fast, uber_top_level,
-                     vertices_of)
+from uberhom import (MAX_VERTICES, Colouring, ColouringMismatch, ComplexError, PlaneGraph,
+                     SimpleGraph, SimplicialComplex, dim_of, from_facets, graph_as_complex,
+                     horizontal_homology, mask_of, matching_complex_of_edges,
+                     simplicial_homology, standard_complex, tait_colouring,
+                     uber_degree0_fast, uber_top_level, vertices_of)
 from uberhom.morse import Edge, MorseReport
 from uberhom.planar import TaitGraph
 from uberhom.uber import star_intersection
@@ -42,6 +43,57 @@ def checked_complex(m: int, simplices) -> SimplicialComplex:
             face = s ^ 1 << v
             assert not face or face in simplices, f"simplex {s:#b} misses its face {face:#b}"
     return SimplicialComplex(m, simplices)
+
+
+def _path(n: int) -> SimplicialComplex:
+    if n < 1:
+        raise ComplexError("path needs at least 1 edge")
+    return from_facets(n + 1, [(i, i + 1) for i in range(n)])
+
+
+def _grid(rows: int, cols: int) -> SimplicialComplex:
+    if rows < 1 or cols < 1 or rows * cols < 2:
+        raise ComplexError("grid needs at least 2 vertices")
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            if j + 1 < cols:
+                edges.append((i * cols + j, i * cols + j + 1))
+            if i + 1 < rows:
+                edges.append((i * cols + j, (i + 1) * cols + j))
+    return from_facets(rows * cols, edges)
+
+
+def _cube(n: int) -> SimplicialComplex:
+    if n < 1:
+        raise ComplexError("cube needs dimension at least 1")
+    edges = [(x, x | (1 << b)) for x in range(1 << n)
+             for b in range(n) if not x >> b & 1]
+    return from_facets(1 << n, edges)
+
+
+def _complete(m: int) -> SimplicialComplex:
+    if m < 2:
+        raise ComplexError("complete graph needs at least 2 vertices")
+    return from_facets(m, combinations(range(m), 2))
+
+
+def _complete_bipartite(a: int, b: int) -> SimplicialComplex:
+    if a < 1 or b < 1:
+        raise ComplexError("bipartite parts must be nonempty")
+    return from_facets(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+_TEST_SHAPES = {"path": _path, "grid": _grid, "cube": _cube, "complete": _complete,
+                "complete_bipartite": _complete_bipartite}
+
+
+def shape(name: str, *params: int) -> SimplicialComplex:
+    """`standard_complex(name, *params)`, or one of the graph shapes only the
+    tests build: path, grid, cube, complete or complete_bipartite."""
+    if name in _TEST_SHAPES:
+        return _TEST_SHAPES[name](*params)
+    return standard_complex(name, *params)
 
 
 def by_dim(X: SimplicialComplex) -> dict[int, tuple[int, ...]]:
@@ -70,6 +122,16 @@ def star(X: SimplicialComplex, v: int) -> frozenset[int]:
     """Simplices containing v (not a subcomplex)."""
     assert 0 <= v < X.vertex_count, f"vertex {v} outside the universe"
     return frozenset(s for s in X.simplices if s >> v & 1)
+
+
+def reduced_homology(X: SimplicialComplex) -> dict[int, int]:
+    """Reduced simplicial homology ranks: H~_0 = H_0 - 1, and the void
+    complex has rank 1 in degree -1."""
+    ranks = simplicial_homology(X)
+    if not ranks:
+        return {-1: 1}
+    ranks[0] -= 1
+    return {d: r for d, r in ranks.items() if r}
 
 
 def closed_star(X: SimplicialComplex, v: int) -> SimplicialComplex:
@@ -158,9 +220,9 @@ def flatten(ranks: dict) -> dict[int, int]:
 
 
 def graph(name: str, *params: int) -> SimpleGraph:
-    """The 1-skeleton of `standard_complex(name, *params)`: complete, cycle,
-    path, complete_bipartite, grid or cube."""
-    return skeleton(standard_complex(name, *params))
+    """The 1-skeleton of `shape(name, *params)`: complete, cycle, path,
+    complete_bipartite, grid or cube."""
+    return skeleton(shape(name, *params))
 
 
 def prism_graph(m: int) -> SimpleGraph:
@@ -253,7 +315,7 @@ def check_top_degree(X: SimplicialComplex):
     n, m = dimension(X), X.vertex_count
     assert n >= 1 and is_connected(X), "needs a connected complex of dimension >= 1"
     for v in range(m):
-        reduced = simplicial_homology(link(X, v), reduced=True)
+        reduced = reduced_homology(link(X, v))
         assert reduced == {n - 1: 1}, f"link of {v} is not a sphere: {reduced}"
         deleted = simplicial_homology(delete_star(X, v))
         assert horizontal_homology(X, Colouring(((1 << m) - 1) ^ 1 << v, m)) == \

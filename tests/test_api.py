@@ -8,6 +8,7 @@ from pathlib import Path
 from types import ModuleType
 
 import uberhom
+from uberhom import complexes
 
 from conftest import traced_layers
 
@@ -108,6 +109,17 @@ def test_every_public_member_has_a_caller_outside_the_tests():
                            for where, attr, line in reads):
                     unused.append(f"{cls.name}.{member.name}")
     assert unused == []
+
+
+def test_every_standard_shape_is_built_outside_the_tests():
+    """Each name standard_complex registers is built by a standard_complex
+    call in src/uberhom or a perfbench script; a shape only the tests build
+    belongs in tests/paper.py."""
+    built = {node.args[0].value for path in SOURCES + SCRIPTS
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and "standard_complex" in _reads(node.func)
+             and node.args and isinstance(node.args[0], ast.Constant)}
+    assert set(complexes._STANDARD) - built == set()
 
 
 def _functions(path: Path):

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -438,6 +439,18 @@ def test_dissim_csv_frozen(files, capsys):
         "E{Sw,C~,inf,,",
         "EFz_,C~,inf,,",
     ]
+
+
+def test_dissim_fields_are_delta_in_lowest_terms():
+    """Each row's gcd pair is Fraction(m - j, m), for every vertex count a
+    graph may have and every level, and 0/1 when no level differs."""
+    for m in range(1, 65):
+        for j in range(m + 1):
+            delta = Fraction(m - j, m)
+            assert cli._dissim_fields(m, j) == (
+                str(delta.numerator), str(delta.denominator), str(j))
+        assert cli._dissim_fields(m, None) == ("0", "1", "theta-equivalent")
+    assert cli._dissim_fields(None, None) == ("inf", "", "")
 
 
 def test_dissim_parallel_and_json(files, capsys):
@@ -898,6 +911,19 @@ def test_cli_import_leaves_out_the_process_pool():
     assert loaded == []
     layers = {f"uberhom.{module}" for module, _ in traced_layers()}
     assert layers - set(library) == {"uberhom.cli"}
+
+
+def test_dissim_run_leaves_out_fractions(files):
+    """A dissim run writes its Delta rows without importing fractions."""
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from uberhom.cli import main; "
+         f"code = main(['dissim', {files['corpus']!r}]); "
+         "print(code, 'fractions' in sys.modules, file=sys.stderr)"],
+        capture_output=True, text=True, env=child_env())
+    assert result.returncode == 0, result.stderr
+    assert "E{Sw,EFz_,2,3,2" in result.stdout.splitlines()
+    assert result.stderr == "0 False\n"
 
 
 def test_console_script_subprocess(files):

@@ -24,7 +24,8 @@ from uberhom import (
 from conftest import small_complexes
 from oracles import close_downward, naive_simplicial_homology
 from paper import (barycentric_subdivision, checked_complex, closed_star, cone, delete_star,
-                   diameter, euler_characteristic, f_vector, is_connected, link, star)
+                   diameter, euler_characteristic, f_vector, is_connected, link,
+                   reduced_homology, shape, star)
 
 
 def as_vertex_sets(X):
@@ -78,7 +79,7 @@ def test_standard_shapes():
         ("rp2_min", (), 6, (6, 15, 10), 1),
     ]
     for name, params, m, f_vec, chi in cases:
-        X = standard_complex(name, *params)
+        X = shape(name, *params)
         assert X.vertex_count == m, name
         assert f_vector(X) == f_vec, name
         assert euler_characteristic(X) == chi, name
@@ -102,8 +103,7 @@ def test_simplicial_homology_against_oracle():
     for X in fixed:
         facets = [vertices_of(f) for f in X.facets()]
         assert simplicial_homology(X) == naive_simplicial_homology(facets)
-        assert simplicial_homology(X, reduced=True) == \
-            naive_simplicial_homology(facets, reduced=True)
+        assert reduced_homology(X) == naive_simplicial_homology(facets, reduced=True)
     for _ in range(15):
         m = rng.randrange(3, 7)
         facets = [rng.sample(range(m), rng.randrange(1, 4)) for _ in range(4)]
@@ -148,7 +148,7 @@ def test_facets_ordering():
     X = from_facets(4, [(1, 2, 3), (0, 1)])
     assert X.facets() == [mask_of((0, 1)), mask_of((1, 2, 3))]
     # facet list is (dimension, mask) sorted
-    Y = standard_complex("complete", 4)
+    Y = shape("complete", 4)
     masks = Y.facets()
     assert masks == sorted(masks)
     assert all(dim_of(s) == 1 for s in masks)
@@ -196,7 +196,7 @@ def test_barycentric_subdivision():
 def test_diameter():
     assert diameter(standard_complex("cycle", 6)) == 3
     assert diameter(standard_complex("simplex", 3)) == 1
-    assert diameter(standard_complex("path", 5)) == 5
+    assert diameter(shape("path", 5)) == 5
     with pytest.raises(AssertionError):
         diameter(from_facets(3, [(0, 1)]))
 
@@ -224,7 +224,7 @@ def test_every_construction_is_face_closed(X, data):
 
 def test_read_format_roundtrip():
     for name, params in [("boundary", (3,)), ("torus_min", ()), ("path", (2,))]:
-        X = standard_complex(name, *params)
+        X = shape(name, *params)
         assert read_complex(format_complex(X)) == X
     text = "3\n# comment line\n0 1 2  # trailing comment\n"
     assert read_complex(text) == standard_complex("simplex", 2)

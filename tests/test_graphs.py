@@ -14,7 +14,6 @@ from uberhom import graphs as graphs_module
 from uberhom import (
     Colouring,
     ComplexError,
-    Dissimilarity,
     ParseError,
     SimpleGraph,
     closed_form_signature,
@@ -120,8 +119,12 @@ def test_graph6_roundtrip_against_networkx():
     rng = random.Random(61)
     graphs = [graph("complete", 5), graph("cycle", 7), BULL, graph("grid", 2, 4)]
     graphs += [random_connected(rng, rng.randrange(2, 12)) for _ in range(20)]
+    # the header grows from one byte to four past 62 vertices; 64 is the cap
+    graphs += [random_connected(rng, n) for n in (62, 63, 64)]
     for G in graphs:
         s = encode_graph6(G)
+        n = G.vertex_count
+        assert len(s) == (1 if n <= 62 else 4) + (n * (n - 1) // 2 + 5) // 6
         assert parse_graph6(s) == G
         H = nx.from_graph6_bytes(s.encode())
         assert sorted(H.edges()) == list(G.edges)
@@ -258,30 +261,23 @@ def test_theta_aggregated():
 
 def test_dissimilarity_basics():
     G1, G2 = prism_graph(3), graph("complete_bipartite", 3, 3)
-    d = dissimilarity(G1, G2)
-    assert d.value == Fraction(2, 3)
-    assert d.first_differing_level == 2
-    assert not d.theta_equivalent and d.value is not None
-    # symmetric
-    back = dissimilarity(G2, G1)
-    assert (back.value, back.first_differing_level) == (d.value, 2)
+    # the first differing level is 2 of 6, in either order
+    assert first_differing_level(*theta_classes([G1, G2])) == 2
+    assert dissimilarity(G1, G2) == dissimilarity(G2, G1) == Fraction(2, 3)
     # relabelled copies are theta-equivalent
     same = dissimilarity(G1, G1.permuted([3, 4, 5, 0, 1, 2]))
-    assert same.value == 0 and same.theta_equivalent
-    assert same.first_differing_level is None
+    assert same == 0 and isinstance(same, Fraction)
     # vertex count mismatch is the infinite marker
-    inf = dissimilarity(G1, graph("complete", 4))
-    assert inf.value is None
-    assert inf.first_differing_level is None
+    assert dissimilarity(G1, graph("complete", 4)) is None
 
 
 def test_dissimilarity_triangle_inequality_sample():
     rng = random.Random(67)
     graphs = [random_connected(rng, 5) for _ in range(6)]
     for a, b, c in itertools.combinations(graphs, 3):
-        dab = dissimilarity(a, b).value
-        dbc = dissimilarity(b, c).value
-        dac = dissimilarity(a, c).value
+        dab = dissimilarity(a, b)
+        dbc = dissimilarity(b, c)
+        dac = dissimilarity(a, c)
         assert dac <= dab + dbc
 
 
@@ -329,15 +325,13 @@ def test_theta_classes_match_pairwise_oracle(corpus):
         assert len(ids) <= G.vertex_count + 1
     for (a, b), (value, level, equivalent) in expected.items():
         m1, m2 = corpus[a].vertex_count, corpus[b].vertex_count
-        want = Dissimilarity(value, level, equivalent)
         if m1 == m2:
-            j = first_differing_level(classes[a], classes[b])
-            assert Dissimilarity.at_level(m1, j) == want
+            assert first_differing_level(classes[a], classes[b]) == level
             if equivalent:  # every level 0..m was compared
                 assert len(classes[a]) == len(classes[b]) == m1 + 1
         else:
-            assert want.value is None
-        assert dissimilarity(corpus[a], corpus[b]) == want
+            assert value is None
+        assert dissimilarity(corpus[a], corpus[b]) == value
 
 
 def test_delta_lower_bounds():
@@ -346,7 +340,7 @@ def test_delta_lower_bounds():
     assert bounds["degree_seq"] is None  # both 3-regular
     assert bounds["girth"] == Fraction(1, 2)  # girths 3 vs 4
     assert bounds["vertex_cover"] == Fraction(1, 2)  # covers 4 vs 3
-    actual = dissimilarity(G1, G2).value
+    actual = dissimilarity(G1, G2)
     for bound in bounds.values():
         if bound is not None:
             assert bound <= actual
@@ -359,7 +353,7 @@ def test_delta_lower_bounds_validity_random():
     for _ in range(10):
         n = rng.randrange(4, 7)
         G1, G2 = random_connected(rng, n), random_connected(rng, n)
-        actual = dissimilarity(G1, G2).value
+        actual = dissimilarity(G1, G2)
         for name, bound in delta_lower_bounds(G1, G2).items():
             if bound is not None:
                 assert bound <= actual, (name, G1.edges, G2.edges)

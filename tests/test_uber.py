@@ -38,7 +38,8 @@ from uberhom.uber import cube_cap, d_eta_matrix, level_masks, star_intersection
 import oracles
 from conftest import small_complexes
 from oracles import naive_graph_h0
-from paper import check_cone_suspension, check_top_degree, checked_complex, cone, graph, link
+from paper import (check_cone_suspension, check_top_degree, checked_complex, cone, graph, link,
+                   shape)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -233,6 +234,22 @@ def test_uber_on_boundary8_prunes_cone_summands(monkeypatch):
     assert sorted(bits for bits, _ in calls) == list(range(512))
     assert sum(len(kept) for _, kept in calls) == 42_894
     assert sum(1 for bits in range(512) for s in X.simplices if s & ~bits in core) == 261_102
+
+
+@pytest.mark.parametrize("name, params, handed", [
+    ("torus_min", (), 28_288),
+    ("boundary", (6,), 36_800),
+], ids=["susp_torus_min", "susp_boundary6"])
+def test_uber_on_suspensions_prunes_cone_summands(monkeypatch, name, params, handed):
+    """On suspensions, the other cube_blocks shape, uber still makes one
+    block homology call per colouring, on a pinned number of simplices.
+    The simpler rule "leave out W when W ∪ eps is in X" keeps the boundary 8
+    count but hands on 29,800 and 70,232 simplices here."""
+    X = standard_complex(name, *params).suspension()
+    calls = record_block_inputs(monkeypatch)
+    uber_homology(X)
+    assert sorted(bits for bits, _ in calls) == list(range(512))
+    assert sum(len(kept) for _, kept in calls) == handed
 
 
 @st.composite
@@ -593,7 +610,7 @@ def test_topdegree_check_rejects_nonmanifolds():
 
 
 def test_cone_suspension_checks_flags(suite):
-    for X in (standard_complex("boundary", 2), standard_complex("path", 2),
+    for X in (standard_complex("boundary", 2), shape("path", 2),
               standard_complex("simplex", 2)):
         check_cone_suspension(X)
 

@@ -3,13 +3,12 @@ values hash equal, assignment raises AttributeError, pickling round-trips,
 and each constructor check raises its own error."""
 
 import pickle
-from fractions import Fraction
 
 import pytest
 
-from uberhom import (BlockHomology, Colouring, ComplexError, Dissimilarity, EngineError,
-                     InvalidColouring, PlaneGraph, SimpleGraph, SimplicialComplex,
-                     parse_plane_graph, tait_graph, theta)
+from uberhom import (BlockHomology, Colouring, ComplexError, EngineError, InvalidColouring,
+                     PlaneGraph, SimpleGraph, SimplicialComplex, parse_plane_graph,
+                     tait_graph, theta)
 from uberhom.f2 import BitMatrix, homology_at
 from uberhom.graphs import ThetaLevel
 from uberhom.morse import MorseReport
@@ -27,8 +26,6 @@ VALUES = [
     (BitMatrix, {"rows": 2, "cols": 2, "columns": (1, 3)}),
     (SimpleGraph, {"vertex_count": 3, "edges": ((0, 1), (1, 2))}),
     (ThetaLevel, {"j": 1, "signature_counts": theta(PATH3, 1).signature_counts}),
-    (Dissimilarity, {"value": Fraction(1, 3), "first_differing_level": 2,
-                     "theta_equivalent": False}),
     (MorseReport, {"is_matching": True, "is_acyclic": True, "critical_cells": (1, 6)}),
     (PlaneGraph, {"graph": TRIANGLE.graph, "rotations": TRIANGLE.rotations}),
     (TaitGraph, {"plane": TRIANGLE, "crossings": tait_graph(TRIANGLE).crossings}),
