@@ -152,10 +152,17 @@ def graph_as_complex(G: SimpleGraph) -> SimplicialComplex:
 def matching_blocks(endpoints, part: int,
                     limit: int | None = None) -> dict[tuple[int, int], list[int]]:
     """The nonempty matchings of an edge list, as masks of edge indices, filed
-    under (dimension, mask & part) as the search finds them.  Endpoints can be
-    any hashable labels; parallel edges simply exclude one another.  More than
-    limit matchings, when one is given, raise CapExceeded as soon as the
-    search reaches them."""
+    under (dimension, mask & part), each block in the order of an ascending
+    search.  Endpoints can be any hashable labels; parallel edges simply
+    exclude one another.
+
+    A matching is W | s, with W a matching of the part edges and s one of
+    the other edges that clash with none of W: W's free set.  Which s exist
+    depends on that set alone, so the part edges are searched first, their
+    matchings grouped by free set, and each free set is searched once; with
+    part 0 that is one search of every edge.  More than limit matchings, when
+    one is given, raise CapExceeded as soon as the search reaches them: a
+    free set's matchings count once per W in its group."""
     n = len(endpoints)
     if n > MAX_VERTICES:
         raise ComplexError(f"{n} edges exceed the supported maximum")
@@ -165,29 +172,56 @@ def matching_blocks(endpoints, part: int,
         at[a] = at.get(a, 0) | 1 << idx
         at[b] = at.get(b, 0) | 1 << idx
     clash = {1 << idx: at[a] | at[b] for idx, (a, b) in enumerate(endpoints)}
-    levels: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
+    every = (1 << n) - 1
+    part &= every
     budget = 1 << n if limit is None else limit  # n edges have fewer than 2^n matchings
 
-    def extend(mask: int, free: int, depth: int):
-        # free holds the edges above mask's last one that clash with none of it;
-        # each of its bits files one matching
-        nonlocal budget
-        budget -= free.bit_count()
-        if budget < 0:
-            raise CapExceeded(f"the graph has more than {limit} matchings; "
-                              f"{limit} is the limit for a matching complex")
-        files = levels[depth]
-        while free:
-            bit = free & -free
-            free ^= bit
-            grown = mask | bit
-            files.setdefault(grown & part, []).append(grown)
-            if rest := free & ~clash[bit]:
-                extend(grown, rest, depth + 1)
+    def search(free: int, copies: int) -> list[list[int]]:
+        """The nonempty matchings inside free, by dimension, each charged
+        copies times against the budget."""
+        levels: list[list[int]] = []
 
-    extend(0, (1 << n) - 1, 0)
-    return {(d, key): block for d, files in enumerate(levels)
-            for key, block in files.items()}
+        def extend(mask: int, free: int, depth: int):
+            # free holds the edges above mask's last one that clash with none
+            # of it; each of its bits files one matching
+            nonlocal budget
+            budget -= copies * free.bit_count()
+            if budget < 0:
+                raise CapExceeded(f"the graph has more than {limit} matchings; "
+                                  f"{limit} is the limit for a matching complex")
+            if depth == len(levels):
+                levels.append([])
+            files = levels[depth]
+            while free:
+                bit = free & -free
+                free ^= bit
+                grown = mask | bit
+                files.append(grown)
+                if rest := free & ~clash[bit]:
+                    extend(grown, rest, depth + 1)
+
+        if free:
+            extend(0, free, 0)
+        return levels
+
+    # W's free set is its prefix's, less what W's highest edge clashes with
+    left = {0: every ^ part}
+    groups: dict[int, list[int]] = {left[0]: [0]}
+    for whites in search(part, 1):
+        for W in whites:
+            top = 1 << W.bit_length() - 1
+            left[W] = free = left[W ^ top] & ~clash[top]
+            groups.setdefault(free, []).append(W)
+    blocks: dict[tuple[int, int], list[int]] = {}
+    for free, whites in groups.items():
+        levels = search(free, len(whites))  # one group's lists at a time
+        for W in whites:
+            k = W.bit_count()
+            if W:
+                blocks[(k - 1, W)] = [W]
+            for d, found in enumerate(levels):
+                blocks[(k + d, W)] = [W | s for s in found] if W else found
+    return blocks
 
 
 def matching_complex_of_edges(endpoints) -> SimplicialComplex:

@@ -10,7 +10,10 @@ overlay_ranks reads the horizontal ranks off that decomposition, once per
 orbit of the map automorphisms, without building the overlay;
 theorem42_verify checks it rank by rank against the horizontal homology of
 every overlay matching.  Each matching complex is one `matching_blocks`
-search, filed as found and reduced by `horizontal_ranks`, never a complex.
+call, reduced by `horizontal_ranks`, never a complex.  That call searches
+the black matchings once per set of black edges that white matchings leave
+free; only the enumeration is shared, and each white part's chain is still
+reduced on its own.
 """
 
 from __future__ import annotations
@@ -281,9 +284,12 @@ def theorem42_verify(P: PlaneGraph) -> dict:
 
     Left side: horizontal homology of the coloured overlay matching complex,
     with every matching of the 4|E| overlay edges filed under its dimension
-    and white part as the search finds it.  It uses neither the theorem nor
-    the symmetry: `horizontal_ranks` reduces each summand relative to the
-    star of one black vertex, which holds for any complex.  Right side:
+    and white part W.  `matching_blocks` searches the black edges free of
+    each W once per distinct free set (the prism's 1,214 white matchings
+    leave 367), but that shares only the enumeration: every W's chain is
+    filed and reduced on its own, so the left side uses neither the theorem
+    nor the symmetry.  `horizontal_ranks` reduces each summand relative to
+    the star of one black vertex, which holds for any complex.  Right side:
     overlay_ranks.  The two sides reduce independent complexes through
     `horizontal_ranks`, as does `horizontal_homology`; the tests check both
     against brute-force oracles on the overlays of small graphs.

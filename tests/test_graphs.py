@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import networkx as nx
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from uberhom import f2, uber
 from uberhom import graphs as graphs_module
 from uberhom import (
+    CapExceeded,
     Colouring,
     ComplexError,
     ParseError,
@@ -34,6 +36,7 @@ from uberhom import (
     theta_classes,
     vertices_of,
 )
+from uberhom.complexes import MAX_INPUT_FACES
 
 from oracles import (
     all_matchings,
@@ -165,21 +168,45 @@ def test_matching_complex_of_edges_with_parallels():
     assert matching_complex_of_edges([]).is_void
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7))
-                .filter(lambda e: e[0] != e[1]), max_size=12))
-def test_matching_complex_of_edges_against_oracle(edges):
+                .filter(lambda e: e[0] != e[1]), max_size=12),
+       st.one_of(st.just(0), st.just(-1), st.integers(0, (1 << 12) - 1)))
+def test_matching_complex_of_edges_against_oracle(edges, part):
     """The builder enumerates exactly the matchings (parallel edges
-    included) and its output passes checked_complex unchanged; filed by a
-    part, each matching lies once in the block of its dimension and part."""
+    included) and its output passes checked_complex unchanged.  Filed by a
+    part (none, every edge as with ~eps.bits, or a random mask), each
+    matching lies once in the block of its dimension and part, no block is
+    empty, each block keeps the order of one ascending search, and the
+    matching count is the exact limit: the search grouped by free set
+    charges every matching once."""
     M = matching_complex_of_edges(edges)
     expected = {mask_of(m) for m in all_matchings(edges) if m}
     assert M.simplices == expected
     assert checked_complex(M.vertex_count, M.simplices) == M
-    part = sum(1 << i for i in range(0, len(edges), 3))
-    filed = [(key, s) for key, masks in graphs_module.matching_blocks(edges, part).items()
-             for s in masks]
+    blocks = graphs_module.matching_blocks(edges, part)
+    assert blocks.keys() == {(s.bit_count() - 1, s & part) for s in expected}
+    filed = [(key, s) for key, masks in blocks.items() for s in masks]
     assert sorted(filed) == sorted(((s.bit_count() - 1, s & part), s) for s in expected)
+    assert all(block == sorted(block, key=vertices_of) for block in blocks.values())
+    assert graphs_module.matching_blocks(edges, part, len(expected)) == blocks
+    if expected:
+        with pytest.raises(CapExceeded):
+            graphs_module.matching_blocks(edges, part, len(expected) - 1)
+
+
+@pytest.mark.parametrize("limit", [1 << 12, MAX_INPUT_FACES])
+def test_matching_blocks_bound_with_a_part(limit):
+    """32 disjoint edges have 2^32 matchings.  With every other edge in part
+    the 2^16 white matchings leave one free set, and the search refuses as
+    soon as it reaches the limit: inside the white search, or at the first
+    step of the free set's search, which counts once per white matching."""
+    edges = [(2 * i, 2 * i + 1) for i in range(32)]
+    part = sum(1 << i for i in range(0, 32, 2))
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=f"more than {limit} matchings"):
+        graphs_module.matching_blocks(edges, part, limit)
+    assert time.perf_counter() - start < 1
 
 
 def test_closed_form_signature_is_exact():

@@ -243,6 +243,31 @@ def test_prism_overlay_reduced_relative_to_a_star(planes, rank_of_columns, monke
     assert quotiented == horizontal_homology(M, eps)
 
 
+def test_theorem42_left_side_is_one_search_of_the_overlay(planes, rank_of_columns,
+                                                         monkeypatch):
+    """verify-thm42's left side on the prism is one `matching_blocks` call on
+    all 4|E| overlay edges, filing the 277,927 overlay matchings in 7,552
+    blocks, and it hands `rank_of` the 39,042 columns that
+    `horizontal_homology` hands it on the overlay complex."""
+    T = tait_graph(planes["prism"])
+    overlay_ranks(T)
+    right_columns = len(rank_of_columns)
+    original = planar.matching_blocks
+    calls = []
+
+    def recording(edges, part):
+        blocks = original(edges, part)
+        calls.append((tuple(edges), len(blocks), sum(map(len, blocks.values()))))
+        return blocks
+
+    _only_enumerator(monkeypatch, recording)
+    rank_of_columns.clear()
+    assert theorem42_verify(planes["prism"])["all_equal"]
+    overlay = [c for c in calls if len(c[0]) > 2 * T.crossing_count]
+    assert overlay == [(T.overlay_edges, 7_552, 277_927)]
+    assert len(rank_of_columns) - right_columns == 39_042
+
+
 def _asymmetric_plane_graph() -> PlaneGraph:
     """A path 0-1-2-3-4 with a triangle 1-2-5 on it: no automorphism but
     the identity."""
