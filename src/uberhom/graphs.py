@@ -10,6 +10,7 @@ and the four graph homologies (h0 from `uber_homology`, the rest closed form).
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from functools import cached_property
 from itertools import count
 from math import comb
@@ -150,19 +151,25 @@ def graph_as_complex(G: SimpleGraph) -> SimplicialComplex:
 
 
 def matching_blocks(endpoints, part: int,
-                    limit: int | None = None) -> dict[tuple[int, int], list[int]]:
-    """The nonempty matchings of an edge list, as masks of edge indices, filed
-    under (dimension, mask & part), each block in the order of an ascending
-    search.  Endpoints can be any hashable labels; parallel edges simply
+                    limit: int | None = None) -> Iterator[tuple[list[int], list[list[int]]]]:
+    """The matchings of an edge list, as masks of edge indices, one chain per
+    free set.  Endpoints can be any hashable labels; parallel edges simply
     exclude one another.
 
-    A matching is W | s, with W a matching of the part edges and s one of
-    the other edges that clash with none of W: W's free set.  Which s exist
-    depends on that set alone, so the part edges are searched first, their
-    matchings grouped by free set, and each free set is searched once; with
-    part 0 that is one search of every edge.  More than limit matchings, when
-    one is given, raise CapExceeded as soon as the search reaches them: a
-    free set's matchings count once per W in its group."""
+    A matching is W | s, with W a matching of the part edges (a white
+    matching) and s one of the other edges that clash with none of W: W's
+    free set.  Which s exist depends on that set alone, so s -> W | s maps
+    the free set's matchings onto those that extend W.  The part edges are
+    searched when this is called, and their matchings grouped by free set.
+    The result then yields, per free set, (whites, levels): the white
+    matchings that leave it, 0 among them when it holds every other edge,
+    and its nonempty matchings, those of d + 1 edges in levels[d], each
+    level in the order of one ascending search.  Each free set is searched
+    as it is reached, so one group's lists are alive at a time.  With part 0
+    there is one group, ([0], levels of every matching).  More than limit
+    matchings W | s, when a limit is given, raise CapExceeded as soon as the
+    search reaches them: a free set's matchings count once per W in its
+    group."""
     n = len(endpoints)
     if n > MAX_VERTICES:
         raise ComplexError(f"{n} edges exceed the supported maximum")
@@ -212,24 +219,15 @@ def matching_blocks(endpoints, part: int,
             top = 1 << W.bit_length() - 1
             left[W] = free = left[W ^ top] & ~clash[top]
             groups.setdefault(free, []).append(W)
-    blocks: dict[tuple[int, int], list[int]] = {}
-    for free, whites in groups.items():
-        levels = search(free, len(whites))  # one group's lists at a time
-        for W in whites:
-            k = W.bit_count()
-            if W:
-                blocks[(k - 1, W)] = [W]
-            for d, found in enumerate(levels):
-                blocks[(k + d, W)] = [W | s for s in found] if W else found
-    return blocks
+    return ((whites, search(free, len(whites))) for free, whites in groups.items())
 
 
 def matching_complex_of_edges(endpoints) -> SimplicialComplex:
     """Matching complex of an explicit edge list (see matching_blocks), on the
     edge indices; it may be disconnected or void."""
-    blocks = matching_blocks(endpoints, 0)
+    [(_, levels)] = matching_blocks(endpoints, 0)
     # every subset of a matching is a matching, so the set is face-closed
-    return SimplicialComplex(max(len(endpoints), 1), frozenset().union(*blocks.values()))
+    return SimplicialComplex(max(len(endpoints), 1), frozenset().union(*levels))
 
 
 def matching_complex(G: SimpleGraph) -> SimplicialComplex:
@@ -237,8 +235,8 @@ def matching_complex(G: SimpleGraph) -> SimplicialComplex:
     More matchings than an input complex may have faces raise CapExceeded."""
     if not G.edges:
         raise ComplexError("matching complex needs at least one edge")
-    blocks = matching_blocks(list(G.edges), 0, MAX_INPUT_FACES)
-    return SimplicialComplex(len(G.edges), frozenset().union(*blocks.values()))
+    [(_, levels)] = matching_blocks(list(G.edges), 0, MAX_INPUT_FACES)
+    return SimplicialComplex(len(G.edges), frozenset().union(*levels))
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ overlay_ranks reads the horizontal ranks off that decomposition, once per
 orbit of the map automorphisms, without building the overlay;
 theorem42_verify checks it rank by rank against the horizontal homology of
 every overlay matching.  Each matching complex is one `matching_blocks`
-call, reduced by `horizontal_ranks`, never a complex.  That call searches
-the black matchings once per set of black edges that white matchings leave
-free; only the enumeration is shared, and each white part's chain is still
-reduced on its own.
+call, reduced by `horizontal_ranks`, never a complex.  On the overlay that
+call groups the white matchings by the black edges they leave free, and
+theorem42_verify reduces each such set's chain once, not once per white
+matching: a white matching's summand is that chain, shifted (its
+docstring says why, and why this is not Theorem 4.2).
 """
 
 from __future__ import annotations
@@ -236,6 +237,24 @@ def _map_automorphisms(P: PlaneGraph) -> set[tuple[int, ...]]:
             for step in (1, -1)} - {None}
 
 
+def _add_matching_ranks(ranks: dict, levels, black: int, weights: dict[int, int]):
+    """Add weights[k] copies of the homology of a matching complex, shifted to
+    (d + k, k), to ranks: the complex whose matchings of d + 1 edges are
+    levels[d], unreduced for k = 0 and reduced (the empty matching added) for
+    k > 0.  Each of the two chains is reduced once, through
+    horizontal_ranks, whatever the number of weights that read it."""
+    chain = {(d, 0): found for d, found in enumerate(levels)}
+    for reduced in (False, True):
+        shifts = [k for k in weights if (k > 0) == reduced]
+        if not shifts:
+            continue
+        if reduced:
+            chain[(-1, 0)] = [0]
+        for (d, _), r in horizontal_ranks(chain, black).items():
+            for k in shifts:
+                ranks[(d + k, k)] = ranks.get((d + k, k), 0) + weights[k] * r
+
+
 def overlay_ranks(T: TaitGraph) -> dict[tuple[int, int], int]:
     """Horizontal ranks of the coloured overlay matching complex, keyed by
     (i, k), from Theorem 4.2's split without building the overlay: level 0
@@ -258,46 +277,55 @@ def overlay_ranks(T: TaitGraph) -> dict[tuple[int, int], int]:
         if sorted(perm) != list(range(G.vertex_count)) or None in group[-1]:
             raise EngineError(f"{perm} is not an automorphism of the plane graph")
     black = T.black_edges()
-    ranks = horizontal_ranks(matching_blocks(black, 0), -1)
+    ranks: dict[tuple[int, int], int] = {}
+    [(_, levels)] = matching_blocks(black, 0)
+    _add_matching_ranks(ranks, levels, -1, {0: 1})
+    [(_, levels)] = matching_blocks(T.white_edges(), 0)
     # half-edge idx is at crossing idx // 2; a matching uses each at most once
     uses = Counter(sum(1 << idx // 2 for idx in vertices_of(mask))
-                   for block in matching_blocks(T.white_edges(), 0).values()
-                   for mask in block)
+                   for found in levels for mask in found)
     seen: set[int] = set()
     for removed in uses:
         if removed in seen:
             continue
         orbit = {sum(1 << g[e] for e in vertices_of(removed)) for g in group}
         seen |= orbit
-        count = sum(uses[R] for R in orbit)
-        k = removed.bit_count()
         survivors = [be for idx, be in enumerate(black) if not removed >> idx // 2 & 1]
-        blocks = matching_blocks(survivors, 0)
-        blocks[(-1, 0)] = [0]  # the empty matching: reduced homology
-        for (dim, _), r in horizontal_ranks(blocks, -1).items():
-            ranks[(dim + k, k)] = ranks.get((dim + k, k), 0) + count * r
+        [(_, levels)] = matching_blocks(survivors, 0)
+        _add_matching_ranks(ranks, levels, -1,
+                            {removed.bit_count(): sum(uses[R] for R in orbit)})
     return ranks
 
 
 def theorem42_verify(P: PlaneGraph) -> dict:
     """Check the level-by-level decomposition of the overlay homology.
 
-    Left side: horizontal homology of the coloured overlay matching complex,
-    with every matching of the 4|E| overlay edges filed under its dimension
-    and white part W.  `matching_blocks` searches the black edges free of
-    each W once per distinct free set (the prism's 1,214 white matchings
-    leave 367), but that shares only the enumeration: every W's chain is
-    filed and reduced on its own, so the left side uses neither the theorem
-    nor the symmetry.  `horizontal_ranks` reduces each summand relative to
+    Left side: horizontal homology of the coloured overlay matching complex.
+    The summand of a white matching W is W | s over the matchings s of the
+    black edges that clash with none of W, its free set, plus W itself when
+    W is not 0.  The horizontal boundary drops only black edges, so
+    s -> W | s is an isomorphism of chain complexes onto the matching chain
+    of the free set, shifted by |W|: reduced when W is not 0, unreduced for
+    W = 0.  `matching_blocks` searches the 4|E| overlay edges once and gives
+    each free set's chain with the white matchings that leave it (the
+    prism's 1,214 leave 367); each chain is reduced once, or twice when it
+    serves both W = 0 and some W not 0, and its ranks are added at
+    (d + |W|, |W|) once per W.  The left side still enumerates every white
+    matching and reads its free set off the overlay's own clashes, not off
+    the surviving primal half-edges, so it uses neither Theorem 4.2 nor the
+    map automorphisms.  `horizontal_ranks` reduces each chain relative to
     the star of one black vertex, which holds for any complex.  Right side:
     overlay_ranks.  The two sides reduce independent complexes through
     `horizontal_ranks`, as does `horizontal_homology`; the tests check both
-    against brute-force oracles on the overlays of small graphs.
+    against brute-force oracles on the overlays of small graphs, and the
+    left side against reducing every W's copy of its chain on its own.
     """
     T = tait_graph(P)
     rhs = overlay_ranks(T)  # raises before any enumeration
     eps = tait_colouring(T)
-    lhs = horizontal_ranks(matching_blocks(T.overlay_edges, ~eps.bits), eps.bits)
+    lhs: dict[tuple[int, int], int] = {}
+    for whites, chain in matching_blocks(T.overlay_edges, ~eps.bits):
+        _add_matching_ranks(lhs, chain, eps.bits, Counter(W.bit_count() for W in whites))
     levels = {}
     for k in sorted({k for _, k in lhs.keys() | rhs.keys()}):
         left, right = ({d: r for (d, j), r in side.items() if j == k} for side in (lhs, rhs))

@@ -12,8 +12,9 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from uberhom import SimplicialComplex, f2, graphs, uber, vertices_of
-from uberhom.coloured import Colouring, horizontal_homology_with_bases, simplicial_homology
+from uberhom import SimplicialComplex, f2, graphs, planar, uber, vertices_of
+from uberhom.coloured import (Colouring, horizontal_homology_with_bases, horizontal_ranks,
+                              simplicial_homology)
 
 from paper import reduced_homology
 
@@ -442,6 +443,29 @@ def crossing_set_overlay_ranks(T) -> dict[tuple[int, int], int]:
         for dim, r in reduced_homology(M).items():
             ranks[(dim + k, k)] = ranks.get((dim + k, k), 0) + count * r
     return ranks
+
+
+def per_white_part_blocks(edges, part: int) -> dict[tuple[int, int], list[int]]:
+    """`graphs.matching_blocks`' chains copied under every white matching W
+    that leaves their free set, filed under (dimension, W): W itself at
+    (|W| - 1, W) when W is not 0, and W | s at (|W| + d, W) for each s in
+    levels[d]."""
+    blocks: dict[tuple[int, int], list[int]] = {}
+    for whites, levels in graphs.matching_blocks(edges, part):
+        for W in whites:
+            k = W.bit_count()
+            if W:
+                blocks[(k - 1, W)] = [W]
+            for d, found in enumerate(levels):
+                blocks[(k + d, W)] = [W | s for s in found]
+    return blocks
+
+
+def per_white_part_left_side(T) -> dict[tuple[int, int], int]:
+    """`planar.theorem42_verify`'s left side with every white matching's
+    chain filed and reduced on its own, keyed by (i, k)."""
+    eps = planar.tait_colouring(T)
+    return horizontal_ranks(per_white_part_blocks(T.overlay_edges, ~eps.bits), eps.bits)
 
 
 def naive_girth(n: int, edges):

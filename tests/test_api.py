@@ -4,6 +4,8 @@ use, and every property test in the suite is derandomized."""
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -179,3 +181,28 @@ def test_property_tests_are_derandomized():
                 found.append(name)
                 assert test._hypothesis_internal_use_settings.derandomize, (path.name, name)
     assert found
+
+
+def test_a_failing_property_test_leaves_the_session_running(tmp_path):
+    """Under the project's warning filters, a failing @given test counts as
+    one failure and the tests after it still run: hypothesis's report hook
+    must not turn its own warning into an error that ends the session.  A
+    warning that a test itself raises still fails that test."""
+    (tmp_path / "test_one_failure.py").write_text(
+        "import warnings\n\n"
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None, derandomize=True)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x != x\n\n\n"
+        "def test_warns():\n"
+        "    warnings.warn('deprecated here', DeprecationWarning)\n\n\n"
+        "def test_passes():\n"
+        "    pass\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         str(tmp_path / "test_one_failure.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "2 failed, 1 passed" in run.stdout, run.stdout + run.stderr
+    assert "INTERNALERROR" not in run.stdout + run.stderr

@@ -27,10 +27,10 @@ from uberhom import (
     standard_complex,
     vertices_of,
 )
-from uberhom.graphs import matching_blocks
 
 from oracles import (check_split_boundaries, naive_diagonal, naive_horizontal,
-                     naive_simplicial_homology, unquotiented_chain_ranks)
+                     naive_simplicial_homology, per_white_part_blocks,
+                     unquotiented_chain_ranks)
 from paper import (black_subcomplex, euler_characteristic, f_vector, flatten,
                    reduced_homology, weight)
 
@@ -222,7 +222,7 @@ def test_star_quotient_on_matching_blocks(case):
     """Matching complexes filed by a random white part, unreduced or with
     the empty matching added, as the survivor complexes of `tait` are."""
     edges, part, reduced = case
-    blocks = matching_blocks(edges, part)
+    blocks = per_white_part_blocks(edges, part)
     if reduced:
         blocks[(-1, 0)] = [0]
     down = lambda dw: (dw[0] - 1, dw[1])

@@ -174,25 +174,37 @@ def test_matching_complex_of_edges_with_parallels():
        st.one_of(st.just(0), st.just(-1), st.integers(0, (1 << 12) - 1)))
 def test_matching_complex_of_edges_against_oracle(edges, part):
     """The builder enumerates exactly the matchings (parallel edges
-    included) and its output passes checked_complex unchanged.  Filed by a
-    part (none, every edge as with ~eps.bits, or a random mask), each
-    matching lies once in the block of its dimension and part, no block is
-    empty, each block keeps the order of one ascending search, and the
-    matching count is the exact limit: the search grouped by free set
-    charges every matching once."""
+    included) and its output passes checked_complex unchanged.  Split by a
+    part (none, every edge as with ~eps.bits, or a random mask), there is
+    one chain per distinct free set, holding matchings outside part: level
+    d those of d + 1 edges, no level empty, each in the order of one
+    ascending search.  Expanded under each of its white matchings W (W
+    itself when not 0, and W | s), every matching lies once under
+    (dim, mask & part).  The matching count is the exact limit: a free
+    set's matchings are charged once per W."""
     M = matching_complex_of_edges(edges)
     expected = {mask_of(m) for m in all_matchings(edges) if m}
     assert M.simplices == expected
     assert checked_complex(M.vertex_count, M.simplices) == M
-    blocks = graphs_module.matching_blocks(edges, part)
-    assert blocks.keys() == {(s.bit_count() - 1, s & part) for s in expected}
-    filed = [(key, s) for key, masks in blocks.items() for s in masks]
-    assert sorted(filed) == sorted(((s.bit_count() - 1, s & part), s) for s in expected)
-    assert all(block == sorted(block, key=vertices_of) for block in blocks.values())
-    assert graphs_module.matching_blocks(edges, part, len(expected)) == blocks
+    groups = list(graphs_module.matching_blocks(edges, part))
+    filed = []
+    for whites, levels in groups:
+        assert whites and all(found for found in levels)
+        for d, found in enumerate(levels):
+            assert all(s & part == 0 and s.bit_count() == d + 1 for s in found)
+            assert found == sorted(found, key=vertices_of)
+        chain = [0] + [s for found in levels for s in found]
+        filed += [((W | s).bit_count() - 1, W, W | s) for W in whites for s in chain if W | s]
+    assert sorted(filed) == sorted((s.bit_count() - 1, s & part, s) for s in expected)
+    # one chain per distinct free set: the edges outside part that W misses
+    free_sets = {sum(1 << i for i, e in enumerate(edges) if not part >> i & 1
+                     and not set(e) & {v for j in vertices_of(W) for v in edges[j]})
+                 for W in {0} | {s for s in expected if not s & ~part}}
+    assert len(groups) == len(free_sets)
+    assert list(graphs_module.matching_blocks(edges, part, len(expected))) == groups
     if expected:
         with pytest.raises(CapExceeded):
-            graphs_module.matching_blocks(edges, part, len(expected) - 1)
+            list(graphs_module.matching_blocks(edges, part, len(expected) - 1))
 
 
 @pytest.mark.parametrize("limit", [1 << 12, MAX_INPUT_FACES])
@@ -205,7 +217,7 @@ def test_matching_blocks_bound_with_a_part(limit):
     part = sum(1 << i for i in range(0, 32, 2))
     start = time.perf_counter()
     with pytest.raises(CapExceeded, match=f"more than {limit} matchings"):
-        graphs_module.matching_blocks(edges, part, limit)
+        list(graphs_module.matching_blocks(edges, part, limit))
     assert time.perf_counter() - start < 1
 
 

@@ -29,7 +29,8 @@ from uberhom import (
 )
 
 from conftest import rotations_from_coordinates
-from oracles import crossing_set_overlay_ranks, naive_horizontal, unquotiented_chain_ranks
+from oracles import (crossing_set_overlay_ranks, naive_horizontal, per_white_part_left_side,
+                     unquotiented_chain_ranks)
 from paper import dual_graph, tait_matching_complex, to_networkx
 
 SMALL = ["triangle", "square", "path2", "star3", "diamond"]
@@ -246,26 +247,58 @@ def test_prism_overlay_reduced_relative_to_a_star(planes, rank_of_columns, monke
 def test_theorem42_left_side_is_one_search_of_the_overlay(planes, rank_of_columns,
                                                          monkeypatch):
     """verify-thm42's left side on the prism is one `matching_blocks` call on
-    all 4|E| overlay edges, filing the 277,927 overlay matchings in 7,552
-    blocks, and it hands `rank_of` the 39,042 columns that
-    `horizontal_homology` hands it on the overlay complex."""
+    all 4|E| overlay edges: its 1,214 white matchings (W = 0 included)
+    leave 367 free sets, whose chains expand to the 277,927 overlay
+    matchings.  It reduces one chain per free set and W = 0 or not, 367 in
+    all (no W other than 0 leaves every black edge free), and hands
+    `rank_of` 11,914 columns, against 39,042 for the overlay complex, whose
+    7,552 white-part summands `horizontal_homology` reduces one by one."""
     T = tait_graph(planes["prism"])
+    original_ranks = planar.horizontal_ranks
+    chains = []
+
+    def counting(blocks, black):
+        chains.append(len(blocks))
+        return original_ranks(blocks, black)
+
+    monkeypatch.setattr(planar, "horizontal_ranks", counting)
     overlay_ranks(T)
-    right_columns = len(rank_of_columns)
+    right_columns, right_chains = len(rank_of_columns), len(chains)
     original = planar.matching_blocks
     calls = []
 
     def recording(edges, part):
-        blocks = original(edges, part)
-        calls.append((tuple(edges), len(blocks), sum(map(len, blocks.values()))))
-        return blocks
+        groups = list(original(edges, part))
+        matchings = sum(len(whites) * sum(map(len, levels)) + sum(map(bool, whites))
+                        for whites, levels in groups)
+        calls.append((tuple(edges), len(groups), sum(len(w) for w, _ in groups), matchings))
+        return iter(groups)
 
     _only_enumerator(monkeypatch, recording)
     rank_of_columns.clear()
+    chains.clear()
     assert theorem42_verify(planes["prism"])["all_equal"]
     overlay = [c for c in calls if len(c[0]) > 2 * T.crossing_count]
-    assert overlay == [(T.overlay_edges, 7_552, 277_927)]
-    assert len(rank_of_columns) - right_columns == 39_042
+    assert overlay == [(T.overlay_edges, 367, 1_214, 277_927)]
+    assert len(chains) - right_chains == 367
+    assert len(rank_of_columns) - right_columns == 11_914
+
+
+def test_theorem42_left_side_against_per_white_part_oracle(planes):
+    """The left side, one chain per free set counted once per white
+    matching that leaves it, equals the route that copies that chain under
+    every white matching and reduces each copy on its own, on every fixture
+    of at most 10 edges, on seeded relabellings and on a plane graph with
+    no symmetry."""
+    cases = {name: P for name, P in planes.items() if 1 <= P.graph.edge_count <= 10}
+    assert {"prism", "wheel5"} <= set(cases)
+    cases.update({"prism@5": _relabel(planes["prism"], 5),
+                  "wheel5@6": _relabel(planes["wheel5"], 6)})
+    cases["asymmetric"] = _asymmetric_plane_graph()
+    for name, P in cases.items():
+        levels = theorem42_verify(P)["levels"]
+        lhs = {(d, k): r for k, level in levels.items() for d, r in level["lhs"].items()}
+        assert lhs == per_white_part_left_side(tait_graph(P)), name
 
 
 def _asymmetric_plane_graph() -> PlaneGraph:
