@@ -16,8 +16,9 @@ summand of W is acyclic, so only W empty and the faces of
 `star_intersection(X)` (the core) can carry homology.  Within a colouring,
 a black cone point b of a summand (s + b in X for its every simplex s)
 pairs s with s + b, a Morse matching with no critical cell (Mischaikow and
-Nanda, Discrete Comput. Geom. 50, 2013), so the summand is acyclic unless
-W is empty, where the chains are unreduced.
+Nanda, Discrete Comput. Geom. 50, 2013), so the summand is acyclic.  For W
+empty the chains are unreduced: the vertex b stays critical, and the cone
+X[eps] has H_0 = 1, on which a 0-chain's coordinate is its parity.
 
 A 1-dimensional X that is not a simplex needs no block homology
 (`_graph_cube`).  A core W's summand is the double complex of the chains
@@ -40,14 +41,22 @@ the previous differential is skipped, since that row is a boundary and the
 differential kills it.  Clearing needs only d^2 = 0, so it holds for both.
 
 For every other X each colouring's blocks come from one
-`horizontal_homology_with_bases` call, on the core summands less those of
-nonempty W with two black cone points b1, b2 (an AND of per-simplex cone
-masks), and the edge maps from `d_eta_matrix`, as the benchmark's tracing
-counts both by name.  That is exact: one level down, at eps - v with v not
-in W, the summand is a subset on which b1 or b2 is still a cone point, so
-no class maps into a summand left out.  The simplices handed in are closed
-under dropping a black vertex, all the block homology reads, not under
-faces.  Results of either route are checked against `uber_degree0_fast`
+`horizontal_homology_with_bases` call, on the core summands without a black
+cone point (an AND of per-simplex cone masks), and the edge maps from
+`d_eta_matrix`, as the benchmark's tracing counts both by name.  A summand
+with a black cone point is left out, having no homology, except that a cone
+X[eps] (W empty) gets its (0, 0) block in closed form (`_cone_h0`) and no
+(i, 0) block for i >= 1.  On `boundary 8` that hands in 19,662 of the
+261,102 core (colouring, simplex) pairs.  An edge map keeps a
+representative, which lies in one W-summand, in the same W at the target,
+as the blackened vertex is not in W; where the target left that summand
+out, it has no homology there and the kept simplices add zero.  So
+`d_eta_matrix` skips a kept simplex missing from the target basis only when
+the target block records its W as coned (`_EngineBlock`).  The vertices of
+a cone X[eps] are in its closed-form basis, so they are never skipped, and
+any other missing simplex raises EngineError.  The simplices handed in are
+closed under dropping a black vertex, all the block homology reads, not
+under faces.  Results of either route are checked against `uber_degree0_fast`
 and the graded Euler sums; `uber_top_level` reads the top level alone.
 """
 
@@ -102,6 +111,16 @@ def _check_cap(colourings: int, what: str, cap: int | None = None):
 _ZERO_BLOCK = BlockHomology((), f2.homology_at([], [], 0))  # a missing target block
 
 
+class _EngineBlock(BlockHomology):
+    """One tower's block at the engine's colouring black, with the white parts
+    coned there: those whose summand has a black cone point, left out as
+    acyclic, and the empty one when X[black] is a cone (`_cone_h0`)."""
+
+    def __init__(self, basis: tuple[int, ...], hom: f2.HomologyWithBasis, black: int,
+                 coned: frozenset):
+        self.__dict__.update(basis=basis, hom=hom, black=black, coned=coned)
+
+
 def d_eta_matrix(source_block: BlockHomology, target_block: BlockHomology | None,
                  v: int) -> f2.BitMatrix:
     """Matrix of the cube-edge map blackening the white vertex v at one
@@ -109,11 +128,16 @@ def d_eta_matrix(source_block: BlockHomology, target_block: BlockHomology | None
 
     Column c is the class of the basis simplices without v that the c-th
     representative keeps, placed at their target basis positions.  The
-    source boundary never drops the white v, so deletion commutes with it;
-    a kept simplex outside the target block or a kept chain that is not a
-    target cycle is an engine bug and raises EngineError.
+    source boundary never drops the white v, so deletion commutes with it.
+    A kept simplex outside the target basis adds zero when the target is an
+    engine block that records its white part as coned, since that summand
+    is acyclic there.  Any other kept simplex outside the target block, or a
+    kept chain that is not a target cycle, is an engine bug and raises
+    EngineError.
     """
     target = target_block if target_block is not None else _ZERO_BLOCK
+    black, coned = ((target.black, target.coned) if isinstance(target, _EngineBlock)
+                    else (0, ()))
     index = {mask: p for p, mask in enumerate(target.basis)}
     bit = 1 << v
     basis = source_block.basis
@@ -122,8 +146,10 @@ def d_eta_matrix(source_block: BlockHomology, target_block: BlockHomology | None
         for rep in source_block.hom.representatives:
             vec = 0
             for p in vertices_of(rep):
-                if not basis[p] & bit:
-                    vec |= 1 << index[basis[p]]
+                s = basis[p]
+                if s & bit or s not in index and s & ~black in coned:
+                    continue  # deleted, or in a summand acyclic at the target
+                vec |= 1 << index[s]
             columns.append(target.hom.coordinates(vec))
     except (KeyError, ValueError):
         raise EngineError("cube edge map failed the chain-map law") from None
@@ -135,9 +161,26 @@ def level_masks(m: int, j: int) -> list[int]:
     return sorted(mask_of(combo) for combo in combinations(range(m), j))
 
 
-def _level(X: SimplicialComplex, core: frozenset, cones: dict, j: int) -> dict:
-    """{colouring mask: per-bidegree blocks} over the colourings of weight j,
-    each on the core summands with W empty or one black cone point at most."""
+def _cone_h0(vertices: list[int]) -> BlockHomology:
+    """The (0, 0) block of a cone X[eps] on its ascending vertices: every
+    0-chain is a cycle, e_(p-1) + e_p are boundary rows with distinct lowest
+    bits, so the rank is 1 and a 0-chain's coordinate is its parity."""
+    n = len(vertices)
+    return BlockHomology(tuple(vertices), f2.homology_at(
+        [1 << p for p in range(n)], [3 << p for p in range(n - 1)], n))
+
+
+def _level(X: SimplicialComplex, core: frozenset, cones: dict, towers: frozenset,
+           j: int) -> dict:
+    """{colouring mask: {tower: block}} over the colourings of weight j.
+
+    Each colouring makes one block homology call, on its core summands
+    without a black cone point, each handed in whole.  A summand with one is
+    acyclic and left out, except that a cone X[eps] (W empty, unreduced)
+    gets its H_0 class in closed form, and nothing above it.  Every tower of
+    X has an `_EngineBlock`, the colouring's zero block where it has none,
+    so `d_eta_matrix` reads the coned white parts of every target.
+    """
     m = X.vertex_count
     level = {}
     for mask in level_masks(m, j):
@@ -145,15 +188,24 @@ def _level(X: SimplicialComplex, core: frozenset, cones: dict, j: int) -> dict:
         for s in X.simplices:
             if (w := s & ~mask) in core:
                 parts.setdefault(w, []).append(s)
-        kept = []
+        kept, coned = [], set()
         for w, summand in parts.items():
             apexes = mask  # the black cone points of the summand
             for s in summand:
                 apexes &= cones[s]
-            if not w or not apexes & (apexes - 1):
+            if apexes:
+                coned.add(w)
+            else:
                 kept.extend(summand)
-        level[mask] = horizontal_homology_with_bases(
+        blocks = horizontal_homology_with_bases(
             SimplicialComplex(m, frozenset(kept)), Colouring(mask, m))
+        if 0 in coned:
+            blocks[(0, 0)] = _cone_h0(sorted(s for s in parts[0] if not s & s - 1))
+        coned = frozenset(coned)
+        zero = _EngineBlock((), _ZERO_BLOCK.hom, mask, coned)
+        level[mask] = {tw: zero for tw in towers}
+        level[mask].update((tw, _EngineBlock(blk.basis, blk.hom, mask, coned))
+                           for tw, blk in blocks.items())
     return level
 
 
@@ -274,7 +326,9 @@ def _engine_cube(X: SimplicialComplex, lowest: int = 0) -> dict:
     the levels below lowest left empty."""
     m, S, core = X.vertex_count, X.simplices, frozenset((0, *star_intersection(X)))
     cones = {s: mask_of(u for u in range(m) if s | 1 << u in S) for s in S}
-    ranks = cube_ranks(m, lambda j: _level(X, core, cones, j) if j >= lowest else {},
+    top = max(map(dim_of, S))
+    towers = frozenset((i, k) for i in range(top + 1) for k in range(i + 2))
+    ranks = cube_ranks(m, lambda j: _level(X, core, cones, towers, j) if j >= lowest else {},
                        _block_rank, _edge_columns)
     return {(j, i, k): r for (j, (i, k)), r in ranks.items()}
 

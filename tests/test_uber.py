@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from uberhom import (
     CapExceeded,
     Colouring,
+    EngineError,
     ParseError,
     from_facets,
     graph_as_complex,
@@ -170,29 +171,40 @@ MIXED_TARGET = from_facets(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4)])
 ], ids=["mixed_target", "cycle5", "torus_min"])
 def test_each_colouring_gets_its_core_subcomplex(monkeypatch, X):
     """The engine makes one horizontal_homology_with_bases call per
-    colouring.  It hands in the simplices of X whose white part W is empty,
-    or a face of the star intersection whose summand has at most one black
-    cone point, each summand whole.  Every W it leaves out has two, so its
-    summand is acyclic there and one level down.  The set is closed under
-    dropping a black vertex, all the block homology reads, though it need
-    not be face-closed."""
+    colouring.  It hands in a summand with an empty or core white part W
+    whole exactly when the summand has no black cone point, and nothing of
+    the others, which are acyclic (or H_0 = 1 for W empty).  Every block of
+    the colouring records as coned the W it left out.  The set is closed
+    under dropping a black vertex, all the block homology reads, though it
+    need not be face-closed."""
     m = X.vertex_count
     core = {0, *star_intersection(X)}
     calls = record_block_inputs(monkeypatch)
+    levels: dict = {}
+    original = uber._level
+
+    def level_recorder(*args):
+        levels.update(out := original(*args))
+        return out
+
+    monkeypatch.setattr(uber, "_level", level_recorder)
     uber._engine_cube(X)
     assert sorted(bits for bits, _ in calls) == list(range(1 << m))
+    assert sorted(levels) == list(range(1 << m))
     for bits, kept in calls:
         summands: dict = {}
         for s in X.simplices:
             if s & ~bits in core:
                 summands.setdefault(s & ~bits, set()).add(s)
         assert kept <= set().union(*summands.values()), bits
+        coned = set()
         for w, summand in summands.items():
-            apexes = black_cone_points(X, bits, summand)
-            if summand <= kept:
-                assert not w or len(apexes) <= 1, (bits, w)
+            if black_cone_points(X, bits, summand):
+                coned.add(w)
+                assert not summand & kept, (bits, w)
             else:
-                assert w and not summand & kept and len(apexes) >= 2, (bits, w)
+                assert summand <= kept, (bits, w)
+        assert {(blk.black, blk.coned) for blk in levels[bits].values()} == {(bits, frozenset(coned))}
         for s in kept:
             for b in vertices_of(s & bits):
                 assert s == 1 << b or s ^ 1 << b in kept, (bits, s)
@@ -219,12 +231,69 @@ def black_cone_points(X, bits, summand) -> set:
     return {b for b in frozen(bits) if all(frozen(s) | {b} in simplices for s in summand)}
 
 
+@st.composite
+def random_cones(draw):
+    """paper's cone on a complex of up to 7 vertices from a drawn seed: up to
+    4 random facets."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    m = rng.randint(1, 7)
+    return cone(from_facets(m, [rng.sample(range(m), rng.randint(1, m))
+                                for _ in range(rng.randint(1, 4))]))
+
+
+@settings(max_examples=40)
+@given(random_cones())
+def test_cone_h0_matches_block_homology(X):
+    """Where X[eps] has a black cone point, the engine's closed-form (0, 0)
+    block has the basis and rank of the one horizontal_homology_with_bases
+    takes, the coordinates of every 0-chain agree and are its parity, and
+    X[eps] has no (i, 0) homology for i >= 1."""
+    m = X.vertex_count
+    checked = 0
+    for bits in range(1, 1 << m):
+        black = [s for s in X.simplices if not s & ~bits]
+        if not black or not black_cone_points(X, bits, black):
+            continue
+        checked += 1
+        blocks = horizontal_homology_with_bases(X, Colouring(bits, m))
+        matrix = blocks[(0, 0)]
+        closed = uber._cone_h0(sorted(s for s in black if s.bit_count() == 1))
+        assert closed.basis == matrix.basis
+        assert closed.hom.rank == matrix.hom.rank == 1
+        for z in range(1 << len(closed.basis)):
+            assert closed.hom.coordinates(z) == matrix.hom.coordinates(z) == z.bit_count() % 2
+        assert all(not blk.hom.rank for (i, k), blk in blocks.items() if i and not k), bits
+    assert checked >= 1 << (m - 1)  # every colouring with the apex black
+
+
+def test_edge_map_skips_only_cells_recorded_as_coned():
+    """On the edge {0, 1}, blackening 1 makes 1 a cone point of the summand
+    of W = {0}, so the class of the white vertex 0 maps to zero when the
+    target records W as coned.  A target that lacks vertex 0 without that
+    record fails the chain-map law, as a plain block does.  A vertex in the
+    basis is mapped even when its W is coned: the cone X[eps] keeps its
+    vertices in the closed-form H_0 block."""
+    X = from_facets(2, [(0, 1)])
+    source = horizontal_homology_with_bases(X, Colouring(0b00, 2))[(0, 1)]
+    assert source.basis == (0b01, 0b10) and source.hom.rank == 2
+    zero = uber._ZERO_BLOCK.hom
+    coned = uber._EngineBlock((), zero, 0b10, frozenset({0b01}))
+    assert d_eta_matrix(source, coned, 1) == f2.BitMatrix(0, 2, (0, 0))
+    for target in (uber._EngineBlock((), zero, 0b10, frozenset()),
+                   uber._EngineBlock((), zero, 0b10, frozenset({0b10})), None):
+        with pytest.raises(EngineError, match="chain-map law"):
+            d_eta_matrix(source, target, 1)
+    point = uber._cone_h0([0b01])
+    edge = uber._cone_h0([0b01, 0b10])
+    target = uber._EngineBlock(edge.basis, edge.hom, 0b11, frozenset({0}))
+    assert d_eta_matrix(point, target, 1) == f2.BitMatrix(1, 1, (1,))
+
+
 def test_uber_on_boundary8_prunes_cone_summands(monkeypatch):
     """uber on the boundary of the 8-simplex, the benchmark's largest
     cube_blocks input, still makes one block homology call per colouring,
-    on 42,894 simplices in all, against the 261,102 with a core white part:
-    at most colourings nearly every core summand is a cone on two black
-    vertices."""
+    on 19,662 simplices in all, against the 261,102 with a core white part:
+    at most colourings nearly every core summand has a black cone point."""
     X = standard_complex("boundary", 8)
     core = {0, *star_intersection(X)}
     calls = record_block_inputs(monkeypatch)
@@ -232,19 +301,18 @@ def test_uber_on_boundary8_prunes_cone_summands(monkeypatch):
     top = {(9 - k, 7, k): comb(9, k) for k in range(8)}
     assert uber_homology(X) == {**bottom, (1, 0, 0): 1, **top}
     assert sorted(bits for bits, _ in calls) == list(range(512))
-    assert sum(len(kept) for _, kept in calls) == 42_894
+    assert sum(len(kept) for _, kept in calls) == 19_662
     assert sum(1 for bits in range(512) for s in X.simplices if s & ~bits in core) == 261_102
 
 
 @pytest.mark.parametrize("name, params, handed", [
-    ("torus_min", (), 28_288),
-    ("boundary", (6,), 36_800),
+    ("torus_min", (), 12_716),
+    ("boundary", (6,), 8_684),
 ], ids=["susp_torus_min", "susp_boundary6"])
 def test_uber_on_suspensions_prunes_cone_summands(monkeypatch, name, params, handed):
     """On suspensions, the other cube_blocks shape, uber still makes one
-    block homology call per colouring, on a pinned number of simplices.
-    The simpler rule "leave out W when W ∪ eps is in X" keeps the boundary 8
-    count but hands on 29,800 and 70,232 simplices here."""
+    block homology call per colouring, on a pinned number of simplices: the
+    summands without a black cone point."""
     X = standard_complex(name, *params).suspension()
     calls = record_block_inputs(monkeypatch)
     uber_homology(X)
@@ -271,9 +339,9 @@ def relabelled_complexes(draw):
 @settings(max_examples=40)
 @given(relabelled_complexes())
 def test_uber_homology_matches_unpruned_engine(X):
-    """Leaving out the summands with two black cone points keeps every rank
-    of the engine that takes each colouring's homology on all core white
-    parts."""
+    """Leaving out every summand with a black cone point, and taking H_0 of a
+    cone X[eps] in closed form, keeps every rank of the engine that takes
+    each colouring's homology on all core white parts."""
     assert uber_homology(X) == oracles.core_engine_cube(X)
 
 
