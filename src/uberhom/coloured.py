@@ -11,11 +11,13 @@ nonempty W), shifted by |W|.  The rank-only routines group the unsorted
 simplices by summand and reduce each chain of blocks relative to the closed
 star of one droppable vertex b, a cone and so acyclic (Mischaikow and Nanda,
 Discrete Comput. Geom. 50, 2013), adding back its H_0 = 1 on unreduced
-chains.  They go top-down, skipping lowest bits of image rows from above,
-which are cycles completing to a basis (clearing; Chen and Kerber,
-"Persistent homology computation with a twist", EuroCG 2011).  The diagonal
-differential is the horizontal one of the complementary colouring, so
-diagonal homology is that, regraded.
+chains.  _reduce, the one loop that eliminates such a relative chain, goes
+top-down, skipping lowest bits of image rows from above, which are cycles
+completing to a basis (clearing; Chen and Kerber, "Persistent homology
+computation with a twist", EuroCG 2011); planar's matching chains reach it
+already relative to a star, as `graphs.matching_blocks` searches them.
+The diagonal differential is the horizontal one of the complementary
+colouring, so diagonal homology is that, regraded.
 """
 
 from __future__ import annotations
@@ -79,59 +81,87 @@ def _blocks(X: SimplicialComplex, eps: Colouring) -> dict[tuple[int, int], list[
     return blocks
 
 
-def _boundary_columns(masks, target: dict[int, int], droppable: int):
+def _boundary_columns(cells, target: dict[int, int], droppable: int, star: int = -1):
     """Columns of the boundary part that drops one droppable vertex, one per
-    simplex.  target maps each face to its row plus one, or to 0 when the
-    face adds nothing; a face it lacks breaks the closure law."""
+    cell.  A face that misses the mask star lies in the star a chain is
+    reduced relative to, and adds nothing; with star -1 that is only the
+    empty face.  target maps every other face to its row plus one, or to 0
+    when it adds nothing; a face it lacks breaks the closure law."""
     try:
-        for s in masks:
+        for s in cells:
             col = 0
             rest = s & droppable
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                col |= 1 << target[s ^ bit]
+                if (face := s ^ bit) & star:
+                    col |= 1 << target[face]
             yield col >> 1
     except KeyError:
         raise EngineError(f"closure law broken: face {s ^ bit:#x} of {s:#x} "
                           "is missing from the block below") from None
 
 
-def _chain_ranks(blocks: dict, down, droppable: int) -> dict:
-    """Nonzero homology ranks of a chain complex of simplex blocks.
+def _reduce(cells: dict, down, droppable: int, star: int = -1,
+            faces: dict | None = None) -> dict:
+    """Nonzero homology ranks of a chain complex of blocks of cells, relative
+    to a subcomplex, by block key.
 
     The differential drops one droppable vertex and maps block key to block
-    down(key); a block whose target is absent maps to zero.  Each chain must
-    be closed under that, down to its droppable-free cell or to points.
-    It is reduced relative to the star of b, the droppable vertex in the
-    most top-block simplices: the simplices s with s | b in the chain.  The
-    star is a cone on b (s pairs with s | b), so it is acyclic, except for
-    H_0 = 1 when the chain has no droppable-free cell (unreduced), which
-    the bottom key gains back.  Only the simplices s without b and with
-    s | b not in the block above get columns, and faces in the star add
-    nothing.  Each chain is walked from its top down, skipping the
-    simplices at the lowest bits P of the image rows r_p of the block above
-    (Chen-Kerber clearing): d^2 = 0 makes the r_p cycles, and with the e_q,
-    q not in P, they form a basis, so the kept columns span the image.
+    down(key); a block whose target is absent maps to zero.  A face of a
+    cell is a cell of the block below, or it lies in the subcomplex and adds
+    nothing: it misses the mask star (with star -1 only the empty face
+    does), or faces[below] maps it to 0 (that dict then becomes the block's
+    index).  Any other face breaks the closure law.  Each chain is walked
+    from its top down, skipping the cells at the lowest bits P of the image
+    rows r_p of the block above (Chen-Kerber clearing): d^2 = 0 makes the
+    r_p cycles, and with the e_q, q not in P, they form a basis, so the kept
+    columns span the image.
     """
     ranks = {}
+    for key in cells.keys() - {down(k) for k in cells}:
+        kept, cleared, in_rank = cells[key], set(), 0
+        while (below := down(key)) in cells:
+            rows = cells[below]
+            target = faces[below] if faces else {}
+            target.update(zip(rows, range(1, len(rows) + 1)))
+            pivots: dict = {}
+            columns = _boundary_columns((s for p, s in enumerate(kept) if p not in cleared),
+                                        target, droppable, star)
+            out_rank = f2.rank_of(columns, pivots=pivots)
+            ranks[key] = len(kept) - in_rank - out_rank
+            kept, cleared, in_rank, key = rows, set(pivots), out_rank, below
+        ranks[key] = len(kept) - in_rank
+    return {key: h for key, h in ranks.items() if h}
+
+
+def _chain_ranks(blocks: dict, down, droppable: int) -> dict:
+    """Nonzero homology ranks of a chain complex of simplex blocks, with the
+    differential of _reduce.  Each chain must be closed under it, down to
+    its droppable-free cell or to points.  It is reduced relative to the
+    star of b, the droppable vertex in the most top-block simplices: the
+    simplices s with s | b in the chain.  The star is a cone on b (s pairs
+    with s | b), so it is acyclic, except for H_0 = 1 when the chain has no
+    droppable-free cell (unreduced), which the bottom key gains back.  The
+    cells handed to _reduce are the simplices s without b and with s | b
+    not in the block above; the other faces below are in the star.
+    """
+    cells, faces, gained = {}, {}, []
     for key in blocks.keys() - {down(k) for k in blocks}:
         top = blocks[key]
         b = max((1 << v for v in vertices_of(reduce(or_, top, 0) & droppable)),
                 key=lambda bit: sum(map(bit.__and__, top)) // bit, default=0)
-        kept, cleared, in_rank, here = [s for s in top if not s & b], set(), 0, set(top)
+        cells[key], here = [s for s in top if not s & b], set(top)
         while (below := down(key)) in blocks:
-            target = dict.fromkeys(blocks[below], 0)
-            rows = [t for t in blocks[below] if not (t & b or t | b in here)]
-            target.update(zip(rows, range(1, len(rows) + 1)))
-            pivots: dict = {}
-            out_rank = f2.rank_of(_boundary_columns(
-                (s for p, s in enumerate(kept) if p not in cleared), target, droppable),
-                pivots=pivots)
-            ranks[key] = len(kept) - in_rank - out_rank
-            here, kept, cleared, in_rank, key = target, rows, set(pivots), out_rank, below
-        ranks[key] = len(kept) - in_rank + (b > 0 and all(s & droppable for s in blocks[key]))
-    return {key: h for key, h in ranks.items() if h}
+            faces[below] = dict.fromkeys(blocks[below], 0)
+            cells[below] = [t for t in blocks[below] if not (t & b or t | b in here)]
+            here, key = faces[below], below
+        if b and all(s & droppable for s in here):
+            gained.append(key)
+    ranks = _reduce(cells, down, droppable, faces=faces)
+    for key in gained:
+        ranks[key] = ranks.get(key, 0) + 1
+    return ranks
 
 
 def horizontal_ranks(blocks: dict, black: int) -> dict[tuple[int, int], int]:

@@ -150,25 +150,34 @@ def graph_as_complex(G: SimpleGraph) -> SimplicialComplex:
 # matching complexes
 
 
-def matching_blocks(endpoints, part: int,
-                    limit: int | None = None) -> Iterator[tuple[list[int], list[list[int]]]]:
+def matching_blocks(endpoints, part: int, limit: int | None = None
+                    ) -> Iterator[tuple[list[int], int, list[list[int]]]]:
     """The matchings of an edge list, as masks of edge indices, one chain per
-    free set.  Endpoints can be any hashable labels; parallel edges simply
-    exclude one another.
+    free set, relative to a cone in it.  Endpoints can be any hashable
+    labels; parallel edges simply exclude one another.
 
     A matching is W | s, with W a matching of the part edges (a white
     matching) and s one of the other edges that clash with none of W: W's
-    free set.  Which s exist depends on that set alone, so s -> W | s maps
-    the free set's matchings onto those that extend W.  The part edges are
-    searched when this is called, and their matchings grouped by free set.
-    The result then yields, per free set, (whites, levels): the white
-    matchings that leave it, 0 among them when it holds every other edge,
-    and its nonempty matchings, those of d + 1 edges in levels[d], each
-    level in the order of one ascending search.  Each free set is searched
-    as it is reached, so one group's lists are alive at a time.  With part 0
-    there is one group, ([0], levels of every matching).  More than limit
-    matchings W | s, when a limit is given, raise CapExceeded as soon as the
-    search reaches them: a free set's matchings count once per W in its
+    free set F.  Which s exist depends on F alone, so s -> W | s maps F's
+    matchings onto those that extend W.  The part edges are searched when
+    this is called, and their matchings grouped by free set.  The result
+    then yields, per free set, (whites, near, levels): the white matchings
+    that leave it, 0 first when it holds every other edge; near, the edge b
+    of F with the fewest clashes inside F (the lowest on a tie) and the
+    edges N of F that clash with it, or 0 when F is empty; and the matchings
+    of F that meet N, those of d + 1 edges in levels[d].  The matchings of
+    F that miss N form the star of b, a cone on b (s pairs with s | b), so
+    the reduced homology of F's matching complex is that of levels relative
+    to the star.  Each level matching is A | t: A a nonempty matching
+    inside N, so at most one edge at each end of b, and t one of the edges
+    outside N and b that clash with none of A.  The search files each once,
+    by one ascending search from each edge of N in turn (the matching's
+    lowest in N), and reaches no matching of the star.  Each free set is
+    searched as it is reached, so one group's lists are alive at a time.
+    With part -1 there is one group, whose whites are every matching, and
+    nothing else is searched.  More than limit matchings searched, when a
+    limit is given, raise CapExceeded as soon as the search reaches them:
+    the white matchings count once each, and a free set's once per W in its
     group."""
     n = len(endpoints)
     if n > MAX_VERTICES:
@@ -183,14 +192,15 @@ def matching_blocks(endpoints, part: int,
     part &= every
     budget = 1 << n if limit is None else limit  # n edges have fewer than 2^n matchings
 
-    def search(free: int, copies: int) -> list[list[int]]:
-        """The nonempty matchings inside free, by dimension, each charged
-        copies times against the budget."""
+    def search(free: int, copies: int, tail: int = 0) -> list[list[int]]:
+        """The nonempty matchings inside free | tail that meet free, by
+        dimension, each charged copies times against the budget."""
         levels: list[list[int]] = []
 
-        def extend(mask: int, free: int, depth: int):
+        def extend(mask: int, free: int, depth: int, tail: int = 0):
             # free holds the edges above mask's last one that clash with none
-            # of it; each of its bits files one matching
+            # of it, each filing one matching; the top call's tail holds the
+            # edges that may join any of them, whatever their order
             nonlocal budget
             budget -= copies * free.bit_count()
             if budget < 0:
@@ -204,30 +214,43 @@ def matching_blocks(endpoints, part: int,
                 free ^= bit
                 grown = mask | bit
                 files.append(grown)
-                if rest := free & ~clash[bit]:
+                if rest := (free | tail) & ~clash[bit]:
                     extend(grown, rest, depth + 1)
 
         if free:
-            extend(0, free, 0)
+            extend(0, free, 0, tail)
         return levels
+
+    def relative(free: int, copies: int) -> tuple[int, list[list[int]]]:
+        fewest, b, rest = n + 1, 0, free  # an edge clashes with at most n edges
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if (clashes := (clash[bit] & free).bit_count()) < fewest:
+                fewest, b = clashes, bit
+        near = clash.get(b, 0) & free
+        return near, search(near ^ b, copies, free & ~near)
 
     # W's free set is its prefix's, less what W's highest edge clashes with
     left = {0: every ^ part}
     groups: dict[int, list[int]] = {left[0]: [0]}
     for whites in search(part, 1):
+        if not left[0]:  # every edge is white, so every W leaves the empty set
+            groups[0] += whites
+            continue
         for W in whites:
             top = 1 << W.bit_length() - 1
             left[W] = free = left[W ^ top] & ~clash[top]
             groups.setdefault(free, []).append(W)
-    return ((whites, search(free, len(whites))) for free, whites in groups.items())
+    return ((whites, *relative(free, len(whites))) for free, whites in groups.items())
 
 
 def matching_complex_of_edges(endpoints) -> SimplicialComplex:
     """Matching complex of an explicit edge list (see matching_blocks), on the
     edge indices; it may be disconnected or void."""
-    [(_, levels)] = matching_blocks(endpoints, 0)
+    [(whites, _, _)] = matching_blocks(endpoints, -1)
     # every subset of a matching is a matching, so the set is face-closed
-    return SimplicialComplex(max(len(endpoints), 1), frozenset().union(*levels))
+    return SimplicialComplex(max(len(endpoints), 1), frozenset(whites[1:]))
 
 
 def matching_complex(G: SimpleGraph) -> SimplicialComplex:
@@ -235,8 +258,8 @@ def matching_complex(G: SimpleGraph) -> SimplicialComplex:
     More matchings than an input complex may have faces raise CapExceeded."""
     if not G.edges:
         raise ComplexError("matching complex needs at least one edge")
-    [(_, levels)] = matching_blocks(list(G.edges), 0, MAX_INPUT_FACES)
-    return SimplicialComplex(len(G.edges), frozenset().union(*levels))
+    [(whites, _, _)] = matching_blocks(list(G.edges), -1, MAX_INPUT_FACES)
+    return SimplicialComplex(len(G.edges), frozenset(whites[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,12 @@ overlay_ranks reads the horizontal ranks off that decomposition, once per
 orbit of the map automorphisms, without building the overlay;
 theorem42_verify checks it rank by rank against the horizontal homology of
 every overlay matching.  Each matching complex is one `matching_blocks`
-call, reduced by `horizontal_ranks`, never a complex.  On the overlay that
-call groups the white matchings by the black edges they leave free, and
-theorem42_verify reduces each such set's chain once, not once per white
-matching: a white matching's summand is that chain, shifted (its
+call, never a complex: the search reaches only the matchings outside the
+star of one edge b, a cone, and `coloured._reduce` reduces that relative
+chain, whose homology is the complex's reduced homology.  On the overlay
+that call groups the white matchings by the black edges they leave free,
+and theorem42_verify reduces each such set's chain once, not once per
+white matching: a white matching's summand is that chain, shifted (its
 docstring says why, and why this is not Theorem 4.2).
 """
 
@@ -23,7 +25,7 @@ from collections import Counter
 from functools import cached_property
 
 from ._value import Value
-from .coloured import Colouring, horizontal_ranks
+from .coloured import Colouring, _reduce
 from .complexes import vertices_of
 from .errors import CapExceeded, ComplexError, EngineError, ParseError
 from .graphs import SimpleGraph, matching_blocks
@@ -237,22 +239,24 @@ def _map_automorphisms(P: PlaneGraph) -> set[tuple[int, ...]]:
             for step in (1, -1)} - {None}
 
 
-def _add_matching_ranks(ranks: dict, levels, black: int, weights: dict[int, int]):
-    """Add weights[k] copies of the homology of a matching complex, shifted to
-    (d + k, k), to ranks: the complex whose matchings of d + 1 edges are
-    levels[d], unreduced for k = 0 and reduced (the empty matching added) for
-    k > 0.  Each of the two chains is reduced once, through
-    horizontal_ranks, whatever the number of weights that read it."""
-    chain = {(d, 0): found for d, found in enumerate(levels)}
-    for reduced in (False, True):
-        shifts = [k for k in weights if (k > 0) == reduced]
-        if not shifts:
-            continue
-        if reduced:
-            chain[(-1, 0)] = [0]
-        for (d, _), r in horizontal_ranks(chain, black).items():
-            for k in shifts:
-                ranks[(d + k, k)] = ranks.get((d + k, k), 0) + weights[k] * r
+def _add_matching_ranks(ranks: dict, near: int, levels, weights: dict[int, int]):
+    """Add weights[k] copies of the homology of a free set's matching complex,
+    shifted to (d + k, k), to ranks: unreduced for k = 0 and reduced for
+    k > 0.  near and levels are one free set's, as matching_blocks yields
+    them.  The complex's reduced homology is that of levels relative to the
+    star of b, which is a cone; unreduced, the star's H_0 = 1 is added back
+    at degree 0.  An empty free set (near 0) has the void complex, whose
+    reduced homology is H_-1 = 1.  The relative chain is reduced once,
+    through coloured._reduce, whatever the number of weights that read it."""
+    relative = _reduce(dict(enumerate(levels)), lambda d: d - 1, -1, near)
+    for k, weight in weights.items():
+        shifted = Counter({d + k: r for d, r in relative.items()})
+        if k == 0 and near:
+            shifted[0] += 1
+        elif k > 0 and not near:
+            shifted[k - 1] += 1
+        for i, r in shifted.items():
+            ranks[(i, k)] = ranks.get((i, k), 0) + weight * r
 
 
 def overlay_ranks(T: TaitGraph) -> dict[tuple[int, int], int]:
@@ -278,12 +282,11 @@ def overlay_ranks(T: TaitGraph) -> dict[tuple[int, int], int]:
             raise EngineError(f"{perm} is not an automorphism of the plane graph")
     black = T.black_edges()
     ranks: dict[tuple[int, int], int] = {}
-    [(_, levels)] = matching_blocks(black, 0)
-    _add_matching_ranks(ranks, levels, -1, {0: 1})
-    [(_, levels)] = matching_blocks(T.white_edges(), 0)
+    [(_, near, levels)] = matching_blocks(black, 0)
+    _add_matching_ranks(ranks, near, levels, {0: 1})
+    [(whites, _, _)] = matching_blocks(T.white_edges(), -1)
     # half-edge idx is at crossing idx // 2; a matching uses each at most once
-    uses = Counter(sum(1 << idx // 2 for idx in vertices_of(mask))
-                   for found in levels for mask in found)
+    uses = Counter(sum(1 << idx // 2 for idx in vertices_of(W)) for W in whites if W)
     seen: set[int] = set()
     for removed in uses:
         if removed in seen:
@@ -291,8 +294,8 @@ def overlay_ranks(T: TaitGraph) -> dict[tuple[int, int], int]:
         orbit = {sum(1 << g[e] for e in vertices_of(removed)) for g in group}
         seen |= orbit
         survivors = [be for idx, be in enumerate(black) if not removed >> idx // 2 & 1]
-        [(_, levels)] = matching_blocks(survivors, 0)
-        _add_matching_ranks(ranks, levels, -1,
+        [(_, near, levels)] = matching_blocks(survivors, 0)
+        _add_matching_ranks(ranks, near, levels,
                             {removed.bit_count(): sum(uses[R] for R in orbit)})
     return ranks
 
@@ -308,24 +311,28 @@ def theorem42_verify(P: PlaneGraph) -> dict:
     of the free set, shifted by |W|: reduced when W is not 0, unreduced for
     W = 0.  `matching_blocks` searches the 4|E| overlay edges once and gives
     each free set's chain with the white matchings that leave it (the
-    prism's 1,214 leave 367); each chain is reduced once, or twice when it
-    serves both W = 0 and some W not 0, and its ranks are added at
-    (d + |W|, |W|) once per W.  The left side still enumerates every white
-    matching and reads its free set off the overlay's own clashes, not off
-    the surviving primal half-edges, so it uses neither Theorem 4.2 nor the
-    map automorphisms.  `horizontal_ranks` reduces each chain relative to
-    the star of one black vertex, which holds for any complex.  Right side:
+    prism's 1,214 leave 367).  The chain holds only the matchings outside
+    the star of the set's black edge b with the fewest clashes, which is a
+    cone, so it has the set's reduced homology, plus H_0 = 1 for the
+    unreduced W = 0 (the prism's 80,236 free-set matchings are searched as
+    22,641 cells).  Each chain is reduced once, whatever W reads it, and
+    its ranks are added at (d + |W|, |W|) once per W.  The left side still
+    enumerates every white matching and reads its free set off the
+    overlay's own clashes, not off the surviving primal half-edges, so it
+    uses neither Theorem 4.2 nor the map automorphisms; the star argument
+    holds for the matching complex of any edge set.  Right side:
     overlay_ranks.  The two sides reduce independent complexes through
-    `horizontal_ranks`, as does `horizontal_homology`; the tests check both
-    against brute-force oracles on the overlays of small graphs, and the
-    left side against reducing every W's copy of its chain on its own.
+    `coloured._reduce`, as `horizontal_homology` does after relativizing
+    its own; the tests check both against brute-force oracles on the
+    overlays of small graphs, and the left side against reducing every W's
+    copy of its full chain on its own.
     """
     T = tait_graph(P)
     rhs = overlay_ranks(T)  # raises before any enumeration
     eps = tait_colouring(T)
     lhs: dict[tuple[int, int], int] = {}
-    for whites, chain in matching_blocks(T.overlay_edges, ~eps.bits):
-        _add_matching_ranks(lhs, chain, eps.bits, Counter(W.bit_count() for W in whites))
+    for whites, near, levels in matching_blocks(T.overlay_edges, ~eps.bits):
+        _add_matching_ranks(lhs, near, levels, Counter(W.bit_count() for W in whites))
     levels = {}
     for k in sorted({k for _, k in lhs.keys() | rhs.keys()}):
         left, right = ({d: r for (d, j), r in side.items() if j == k} for side in (lhs, rhs))

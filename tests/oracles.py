@@ -446,18 +446,12 @@ def crossing_set_overlay_ranks(T) -> dict[tuple[int, int], int]:
 
 
 def per_white_part_blocks(edges, part: int) -> dict[tuple[int, int], list[int]]:
-    """`graphs.matching_blocks`' chains copied under every white matching W
-    that leaves their free set, filed under (dimension, W): W itself at
-    (|W| - 1, W) when W is not 0, and W | s at (|W| + d, W) for each s in
-    levels[d]."""
+    """Every nonempty matching of an edge list, from the full enumeration of
+    `graphs.matching_complex_of_edges`, filed under (dimension, W), W its
+    part edges: the chain of W's summand, W itself included when not 0."""
     blocks: dict[tuple[int, int], list[int]] = {}
-    for whites, levels in graphs.matching_blocks(edges, part):
-        for W in whites:
-            k = W.bit_count()
-            if W:
-                blocks[(k - 1, W)] = [W]
-            for d, found in enumerate(levels):
-                blocks[(k + d, W)] = [W | s for s in found]
+    for s in graphs.matching_complex_of_edges(edges).simplices:
+        blocks.setdefault((s.bit_count() - 1, s & part), []).append(s)
     return blocks
 
 

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uberhom import f2, uber
+from uberhom import f2, planar, uber
 from uberhom import graphs as graphs_module
 from uberhom import (
     CapExceeded,
@@ -46,6 +46,7 @@ from oracles import (
     naive_horizontal,
     naive_dissimilarity,
     naive_min_cover,
+    unquotiented_chain_ranks,
 )
 from paper import (check_vertex_cover_bijection, checked_complex, degree_sequence,
                    delta_lower_bounds, dimension, f_vector, girth, graph, maximal_spacious_trees,
@@ -168,6 +169,30 @@ def test_matching_complex_of_edges_with_parallels():
     assert matching_complex_of_edges([]).is_void
 
 
+def check_relative_chain(edges, free: int, near: int, levels):
+    """One free set's chain as `matching_blocks` yields it, against the
+    brute-force matchings: near is b, the edge of free with the fewest
+    clashes inside it (the lowest on a tie), and the edges of free that
+    clash with it, or 0 for an empty set.  Every matching of free lies
+    exactly once in the levels or in the star of b (those that miss near
+    but for b); level d holds matchings of d + 1 edges, no level is empty,
+    and each is in the order of one ascending search from a cell's lowest
+    edge in near."""
+    inside = [i for i in range(len(edges)) if free >> i & 1]
+    clashes = {i: {j for j in inside if set(edges[i]) & set(edges[j])} for i in inside}
+    b = min(inside, key=lambda i: (len(clashes[i]), i), default=None)
+    assert near == (mask_of(clashes[b]) if inside else 0)
+    star = near & ~(1 << b) if inside else 0
+    matchings = [mask_of(m) for m in all_matchings(edges) if not mask_of(m) & ~free]
+    cells = [s for found in levels for s in found]
+    assert sorted(cells + [s for s in matchings if not s & star]) == sorted(matchings)
+    lowest = lambda s: s & star & -(s & star)
+    for d, found in enumerate(levels):
+        assert found and all(s.bit_count() == d + 1 for s in found)
+        assert found == sorted(found, key=lambda s: (lowest(s), vertices_of(s ^ lowest(s))))
+    return b
+
+
 @settings(max_examples=300)
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7))
                 .filter(lambda e: e[0] != e[1]), max_size=12),
@@ -175,46 +200,79 @@ def test_matching_complex_of_edges_with_parallels():
 def test_matching_complex_of_edges_against_oracle(edges, part):
     """The builder enumerates exactly the matchings (parallel edges
     included) and its output passes checked_complex unchanged.  Split by a
-    part (none, every edge as with ~eps.bits, or a random mask), there is
-    one chain per distinct free set, holding matchings outside part: level
-    d those of d + 1 edges, no level empty, each in the order of one
-    ascending search.  Expanded under each of its white matchings W (W
-    itself when not 0, and W | s), every matching lies once under
-    (dim, mask & part).  The matching count is the exact limit: a free
-    set's matchings are charged once per W."""
+    part (none, every edge as with ~eps.bits, or a random mask), every
+    white matching W (a matching inside part, 0 included) lies in the one
+    group of its free set, the edges outside part that clash with none of
+    W, and each group's chain is that set's relative to the star of one of
+    its edges (check_relative_chain).  With part -1 there is one group,
+    whose whites are every matching.  The count searched is the exact
+    limit: each nonempty W once, and a free set's cells once per W."""
     M = matching_complex_of_edges(edges)
     expected = {mask_of(m) for m in all_matchings(edges) if m}
     assert M.simplices == expected
     assert checked_complex(M.vertex_count, M.simplices) == M
     groups = list(graphs_module.matching_blocks(edges, part))
-    filed = []
-    for whites, levels in groups:
-        assert whites and all(found for found in levels)
-        for d, found in enumerate(levels):
-            assert all(s & part == 0 and s.bit_count() == d + 1 for s in found)
-            assert found == sorted(found, key=vertices_of)
-        chain = [0] + [s for found in levels for s in found]
-        filed += [((W | s).bit_count() - 1, W, W | s) for W in whites for s in chain if W | s]
-    assert sorted(filed) == sorted((s.bit_count() - 1, s & part, s) for s in expected)
-    # one chain per distinct free set: the edges outside part that W misses
-    free_sets = {sum(1 << i for i, e in enumerate(edges) if not part >> i & 1
-                     and not set(e) & {v for j in vertices_of(W) for v in edges[j]})
-                 for W in {0} | {s for s in expected if not s & ~part}}
-    assert len(groups) == len(free_sets)
-    assert list(graphs_module.matching_blocks(edges, part, len(expected))) == groups
-    if expected:
+    outside = mask_of(i for i in range(len(edges)) if not part >> i & 1)
+    whites = [W for W in {0} | expected if not W & outside]
+    assert sorted(W for group, _, _ in groups for W in group) == sorted(whites)
+    free_sets, searched = set(), len(whites) - 1
+    for group, near, levels in groups:
+        touched = [{v for j in vertices_of(W) for v in edges[j]} for W in group]
+        [free] = {mask_of(i for i in vertices_of(outside) if not set(edges[i]) & seen)
+                  for seen in touched}
+        check_relative_chain(edges, free, near, levels)
+        free_sets.add(free)
+        searched += len(group) * sum(map(len, levels))
+    assert len(free_sets) == len(groups)
+    if part & ((1 << len(edges)) - 1) == (1 << len(edges)) - 1:
+        assert [(group[0], near, levels) for group, near, levels in groups] == [(0, 0, [])]
+    assert list(graphs_module.matching_blocks(edges, part, searched)) == groups
+    if searched:
         with pytest.raises(CapExceeded):
-            list(graphs_module.matching_blocks(edges, part, len(expected) - 1))
+            list(graphs_module.matching_blocks(edges, part, searched - 1))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5))
+                .filter(lambda e: e[0] != e[1]), max_size=10))
+@example([])  # no edge: the void complex
+@example([(0, 1)])  # a lone edge: b's star is everything
+@example([(0, 1), (1, 0), (2, 3), (3, 2)])  # parallel edges, as a bridge gives
+@example([(0, 1), (1, 2), (2, 3), (3, 4)])  # a path: b clashes at one end only
+@example([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])  # a cycle: one clash at each end
+@example([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])  # K4: two at each end
+def test_relative_matching_chain_against_full_chain(edges):
+    """The chain of all of an edge list's matchings relative to the star of
+    b (check_relative_chain) has the homology of the full matching chain:
+    unreduced, with b's H_0 = 1 added back at degree 0, and reduced, the
+    empty matching's H_-1 = 1 for no edge, both at the weight their white
+    matchings give, against the brute-force matchings reduced with no
+    quotient."""
+    [(whites, near, levels)] = graphs_module.matching_blocks(edges, 0)
+    assert whites == [0]
+    check_relative_chain(edges, (1 << len(edges)) - 1, near, levels)
+    full: dict[int, list[int]] = {}
+    for m in all_matchings(edges):
+        full.setdefault(len(m) - 1, []).append(mask_of(m))
+    for k, chain in ((0, {d: found for d, found in full.items() if d >= 0}), (2, full)):
+        expected = {(d + k, k): 3 * r for d, r in
+                    unquotiented_chain_ranks(chain, lambda d: d - 1, -1).items()}
+        ranks: dict = {}
+        planar._add_matching_ranks(ranks, near, levels, {k: 3})
+        assert ranks == expected, k
 
 
 @pytest.mark.parametrize("limit", [1 << 12, MAX_INPUT_FACES])
 def test_matching_blocks_bound_with_a_part(limit):
-    """32 disjoint edges have 2^32 matchings.  With every other edge in part
-    the 2^16 white matchings leave one free set, and the search refuses as
-    soon as it reaches the limit: inside the white search, or at the first
-    step of the free set's search, which counts once per white matching."""
-    edges = [(2 * i, 2 * i + 1) for i in range(32)]
-    part = sum(1 << i for i in range(0, 32, 2))
+    """16 disjoint white edges and 8 disjoint paths of two free edges: the
+    2^16 white matchings leave one free set, whose chain relative to the
+    star of its first edge has 3^7 cells, charged once per white matching,
+    2^16 * 3^7 in all.  The search refuses as soon as it reaches the limit:
+    inside the white search, or in the first steps of the free set's
+    search."""
+    edges = [(2 * i, 2 * i + 1) for i in range(16)]
+    edges += [(100 + 3 * i + j, 101 + 3 * i + j) for i in range(8) for j in range(2)]
+    part = (1 << 16) - 1
     start = time.perf_counter()
     with pytest.raises(CapExceeded, match=f"more than {limit} matchings"):
         list(graphs_module.matching_blocks(edges, part, limit))

@@ -248,30 +248,32 @@ def test_theorem42_left_side_is_one_search_of_the_overlay(planes, rank_of_column
                                                          monkeypatch):
     """verify-thm42's left side on the prism is one `matching_blocks` call on
     all 4|E| overlay edges: its 1,214 white matchings (W = 0 included)
-    leave 367 free sets, whose chains expand to the 277,927 overlay
-    matchings.  It reduces one chain per free set and W = 0 or not, 367 in
-    all (no W other than 0 leaves every black edge free), and hands
-    `rank_of` 11,914 columns, against 39,042 for the overlay complex, whose
-    7,552 white-part summands `horizontal_homology` reduces one by one."""
+    leave 367 free sets, whose 80,236 matchings (277,927 once expanded
+    under every W) the search cuts to the 22,641 outside one black edge's
+    star per set.  It reduces one relative chain per free set, 367 in all,
+    whatever W reads it, and hands `rank_of` 11,493 columns, against 39,042
+    for the overlay complex, whose 7,552 white-part summands
+    `horizontal_homology` reduces one by one.  overlay_ranks, run first by
+    both commands, hands it 2,488."""
     T = tait_graph(planes["prism"])
-    original_ranks = planar.horizontal_ranks
+    original_reduce = planar._reduce
     chains = []
 
-    def counting(blocks, black):
-        chains.append(len(blocks))
-        return original_ranks(blocks, black)
+    def counting(cells, *args):
+        chains.append(len(cells))
+        return original_reduce(cells, *args)
 
-    monkeypatch.setattr(planar, "horizontal_ranks", counting)
+    monkeypatch.setattr(planar, "_reduce", counting)
     overlay_ranks(T)
     right_columns, right_chains = len(rank_of_columns), len(chains)
+    assert right_columns == 2_488
     original = planar.matching_blocks
     calls = []
 
     def recording(edges, part):
         groups = list(original(edges, part))
-        matchings = sum(len(whites) * sum(map(len, levels)) + sum(map(bool, whites))
-                        for whites, levels in groups)
-        calls.append((tuple(edges), len(groups), sum(len(w) for w, _ in groups), matchings))
+        cells = sum(sum(map(len, levels)) for _, _, levels in groups)
+        calls.append((tuple(edges), len(groups), sum(len(w) for w, _, _ in groups), cells))
         return iter(groups)
 
     _only_enumerator(monkeypatch, recording)
@@ -279,9 +281,27 @@ def test_theorem42_left_side_is_one_search_of_the_overlay(planes, rank_of_column
     chains.clear()
     assert theorem42_verify(planes["prism"])["all_equal"]
     overlay = [c for c in calls if len(c[0]) > 2 * T.crossing_count]
-    assert overlay == [(T.overlay_edges, 367, 1_214, 277_927)]
+    assert overlay == [(T.overlay_edges, 367, 1_214, 22_641)]
     assert len(chains) - right_chains == 367
-    assert len(rank_of_columns) - right_columns == 11_914
+    assert len(rank_of_columns) - right_columns == 11_493
+
+
+def test_forged_relative_chain_breaks_the_closure_law():
+    """On the path 01, 12, 23, 34 the star is that of edge 0 and its one
+    clashing edge is 1, so the relative chain is the cells 1 and 1 + 3,
+    and the complex is contractible.  A face that misses edge 1 lies in the
+    star and adds nothing, such as 3 of 1 + 3.  A face that meets it and is
+    missing from the block below is an engine error (exit 5): 1 of 1 + 3
+    once the cell 1 is taken out, or 1 + 2 of a forged cell 1 + 2 + 3."""
+    [(_, near, levels)] = planar.matching_blocks([(0, 1), (1, 2), (2, 3), (3, 4)], 0)
+    assert (near, levels) == (0b11, [[0b10], [0b1010]])
+    ranks: dict = {}
+    planar._add_matching_ranks(ranks, near, levels, {0: 1, 1: 1})
+    assert ranks == {(0, 0): 1}
+    for forged in ([[], [0b1010]], [[0b10], [0b1010], [0b1110]]):
+        with pytest.raises(EngineError, match="closure law") as caught:
+            planar._add_matching_ranks({}, near, forged, {0: 1})
+        assert caught.value.exit_code == 5
 
 
 def test_theorem42_left_side_against_per_white_part_oracle(planes):
