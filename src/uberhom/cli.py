@@ -10,8 +10,9 @@ Each subcommand is declared once, in the COMMANDS table: its handler (which
 takes the parsed input and returns a JSON-ready dict), what it reads (a
 complex, a graph, a graph6 corpus or a plane graph), help text, options and
 default format.  Both the argument parser and `main` read that table: `main`
-reads and parses the input, runs the handler, stamps the report with the
-input's SHA-256 and the command name, and renders it.
+builds the subparser of the command it is given (every subparser when
+argv names none), reads and parses the input, runs the handler, stamps the
+report with the input's SHA-256 and the command name, and renders it.
 
 Exit codes: 0 success; 2 malformed input or colouring; 3 colouring length
 mismatch; 4 resource cap exceeded; 5 an engine invariant failed (a bug).
@@ -30,7 +31,6 @@ from collections.abc import Callable
 from functools import cache
 from itertools import combinations
 from math import comb, gcd
-from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -261,16 +261,17 @@ def _dissim_fields(m: int | None, j: int | None) -> tuple[str, str, str]:
 
 
 def cmd_dissim(corpus: list[tuple[str, SimpleGraph]], args) -> dict:
+    """One row per pair, as a tuple of DISSIM_FIELDS' strings: _render writes
+    the CSV from the tuples and builds per-pair dicts only for json and table."""
     names, graphs = zip(*corpus)
     classes = theta_classes(graphs)
     fields = cache(_dissim_fields)  # a handful of distinct (m, j) per corpus
-    pairs = []
-    for a, b in combinations(range(len(graphs)), 2):
-        m = graphs[a].vertex_count
-        key = ((m, first_differing_level(classes[a], classes[b]))
-               if m == graphs[b].vertex_count else (None, None))
-        pairs.append(dict(zip(DISSIM_FIELDS, (names[a], names[b], *fields(*key)))))
-    return {"graph_count": len(names), "pairs": pairs}
+    rows = []
+    for (name1, m, ids1), (name2, n, ids2) in combinations(
+            zip(names, [G.vertex_count for G in graphs], classes), 2):
+        tail = fields(m, first_differing_level(ids1, ids2)) if m == n else fields(None, None)
+        rows.append((name1, name2, *tail))
+    return {"graph_count": len(names), "pairs": rows}
 
 
 def cmd_graph_hom(G: SimpleGraph, args) -> dict:
@@ -325,21 +326,25 @@ def _flatten(prefix: str, obj, rows: list):
 
 
 def _render(report: dict, fmt: str, command: str) -> str:
+    """The report as fmt.  dissim's CSV is its row tuples joined by commas,
+    no field needing quotes: a name is a stripped graph6 line, an optional
+    >>graph6<< then bytes 63-126 (parse_graph6 refuses the rest), and the
+    other fields are digits, "inf", "theta-equivalent" or empty."""
+    if command == "dissim":
+        if fmt == "csv":
+            return "".join([",".join(row) + "\n" for row in (DISSIM_FIELDS, *report["pairs"])])
+        report = {**report, "pairs": [dict(zip(DISSIM_FIELDS, row)) for row in report["pairs"]]}
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if command == "dissim" and fmt == "csv":
-        header, rows = DISSIM_FIELDS, map(itemgetter(*DISSIM_FIELDS), report["pairs"])
-    else:
-        rows = []
-        _flatten("", dict(sorted(report.items())), rows)
-        if fmt == "table":
-            width = max((len(k) for k, _ in rows), default=0)
-            return "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)
-        header = ("key", "value")
+    rows = []
+    _flatten("", dict(sorted(report.items())), rows)
+    if fmt == "table":
+        width = max((len(k) for k, _ in rows), default=0)
+        return "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)
     import csv  # here, so only a csv report pays for it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(("key", "value"))
     writer.writerows(rows)
     return buf.getvalue()
 
@@ -400,12 +405,19 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(names: tuple[str, ...] = tuple(COMMANDS)) -> argparse.ArgumentParser:
+    """The parser with a subparser for each command in names.  Built for
+    fewer than every command, its usage line still lists them all, so a
+    top-level error reads the same; built for all, it keeps argparse's own
+    metavar, which the missing-command error prints as "command"."""
     parser = argparse.ArgumentParser(
         prog="uberhom",
         description="Homology of colour-filtered simplicial complexes")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
+    every = tuple(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=None
+                                if names == every else "{" + ",".join(every) + "}")
+    for name in names:
+        command = COMMANDS[name]
         p = sub.add_parser(name, help=command.help)
         for arg, keywords in ARGUMENTS.items():
             if arg == "input" or arg in command.options:
@@ -416,7 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    named = argv[0] if argv else None
+    parser = build_parser((named,) if named in COMMANDS else tuple(COMMANDS))
     args = parser.parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be at least 1")

@@ -348,14 +348,17 @@ def _graph_cube(X: SimplicialComplex) -> dict:
 
 def _components(adj, bits: int) -> list[int]:
     """Vertex masks of the components of the subgraph induced on bits, by
-    lowest vertex; each grows by OR-ing the neighbour masks of its frontier."""
+    lowest vertex; each grows by OR-ing the neighbour masks of its frontier,
+    walked bit by bit."""
     comps = []
     while bits:
         comp = frontier = bits & -bits
         while frontier:
             reach = 0
-            for u in vertices_of(frontier):
-                reach |= adj[u]
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = reach & bits & ~comp
             comp |= frontier
         comps.append(comp)

@@ -7,8 +7,10 @@ the installed console script to pin down exit codes in a real process.
 import argparse
 import ast
 import concurrent.futures
+import csv
 import functools
 import hashlib
+import io
 import json
 import os
 import re
@@ -463,6 +465,65 @@ def test_dissim_parallel_and_json(files, capsys):
     assert report["pairs"][0] == {
         "name1": "E{Sw", "name2": "EFz_", "delta_num": "2", "delta_den": "3",
         "first_differing_level": "2"}
+
+
+# stdout SHA-256 of dissim's json and table reports on the `files` corpus,
+# taken when each pair was still built as a dict
+DISSIM_REPORT_DIGESTS = {
+    "json": "c8c860843bd8fa095021b8cbece774fb219e7dc9b8f04c63e9fdda8cdaf4187b",
+    "table": "572f8908450e32055ddffcfa51eace3c73f6f6347e14096ea2a2264b525f7d8c",
+}
+
+
+def test_dissim_json_and_table_frozen(files, capsys):
+    for fmt, digest in DISSIM_REPORT_DIGESTS.items():
+        code, out, _ = run_text(capsys, ["dissim", files["corpus"], "--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+def test_dissim_csv_is_what_csv_writer_writes(tmp_path, capsys):
+    """dissim joins its row tuples with commas, which is csv.writer's output
+    because no field needs quoting: names with and without a >>graph6<<
+    prefix, a corpus of mixed vertex counts (inf rows) and Theta-equivalent
+    pairs (K4 twice, and FrSJG and FheoW)."""
+    path = tmp_path / "mixed.g6"
+    path.write_text(">>graph6<<Flea?\nFle_O\n>>graph6<<C~\nFrSJG\nFheoW\nC~\nBw\n")
+    code, out, _ = run_text(capsys, ["dissim", str(path)])
+    assert code == 0
+    report = run_json(capsys, ["dissim", str(path), "--format", "json"])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cli.DISSIM_FIELDS)
+    writer.writerows([pair[field] for field in cli.DISSIM_FIELDS] for pair in report["pairs"])
+    assert out == buf.getvalue()
+    levels = Counter(pair["first_differing_level"] for pair in report["pairs"])
+    assert levels[""] and levels["theta-equivalent"] and levels["0"]
+    # every character parse_graph6 lets into a name is written unquoted
+    name = ">>graph6<<" + "".join(map(chr, range(63, 127)))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([name, name, "inf", "", ""])
+    assert buf.getvalue() == f"{name},{name},inf,,\n"
+
+
+def test_named_command_parser_reads_the_same(capsys, monkeypatch):
+    """main builds only the subparser argv names; stdout, stderr and the exit
+    code are those of the parser with every subparser."""
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    argvs = ([], ["--help"], ["bogus"], ["uber", "--help"], ["uber"],
+             ["dissim", "x", "--jobs", "0"], ["uber", "x", "--bogus"])
+    named = [outcome(argv) for argv in argvs]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda names: full())
+    assert named == [outcome(argv) for argv in argvs]
+    assert [code for code, _, _ in named] == [2, 0, 2, 0, 2, 2, 2]
 
 
 def test_disconnected_graph_contract(tmp_path, capsys):

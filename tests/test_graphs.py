@@ -321,6 +321,28 @@ def test_closed_form_signature_matches_oracle(case):
         assert closed_form_signature(G, bits) == expected, (G.edges, bits)
 
 
+@settings(max_examples=300)
+@given(ordered_graphs(), st.integers(0, (1 << 8) - 1))
+def test_closed_form_signature_is_in_descending_order(case, bits):
+    """The entries come out in descending order, each (i, k) once with a
+    nonzero rank, for any graph and colouring: theta counts and compares
+    the tuples as they are."""
+    G, _ = case
+    signature = closed_form_signature(G, bits & (1 << G.vertex_count) - 1)
+    assert list(signature) == sorted(signature, reverse=True)
+    assert len({(i, k) for i, k, _ in signature}) == len(signature)
+    assert all(r > 0 for _, _, r in signature)
+
+
+def test_first_differing_level_edge_cases():
+    assert first_differing_level([], []) is None
+    assert first_differing_level([0, 1], [0, 1, 2]) is None  # a prefix
+    assert first_differing_level([0, 1, 2], [0, 1]) is None
+    assert first_differing_level([1, 0], [0, 0]) == 0
+    assert first_differing_level([0, 0, 1], [0, 0, 2]) == 2
+    assert first_differing_level([3, 1, 4], [3, 1, 4]) is None  # agree to the end
+
+
 def test_theta_structure():
     G = prism_graph(3)
     level0 = theta(G, 0)
